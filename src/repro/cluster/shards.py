@@ -113,9 +113,9 @@ def grade_shard(
     detection times are subset-invariant) and compacts the shard into a
     JSON-able result: per-index verdicts, detection times and the MISR
     signature *partial* for the shard's global stream positions.
-    ``engine`` picks the cone evaluator tier
-    (:data:`repro.gates.ENGINES`); every tier is exact, so a fleet may
-    freely mix engines per worker and still merge bit-identically.
+    ``engine`` is checked by :func:`repro.gates.resolve_engine`; only
+    ``event`` (the default) can grade a shard, because the
+    ``reference`` oracle records no detection times.
     """
     indices = [int(i) for i in indices]
     for i in indices:
@@ -259,7 +259,6 @@ def single_node_grade(
     misr_poly: int = 0,
     cache=None,
     chunk: Optional[int] = None,
-    engine: Optional[str] = None,
 ) -> MergedGrade:
     """The single-node oracle the fleet must reproduce bit for bit.
 
@@ -270,7 +269,7 @@ def single_node_grade(
     """
     detect = np.full(len(faults), -1, dtype=np.int64)
     gate_level_missed(nl, input_raw, faults, cache=cache, chunk=chunk,
-                      engine=engine, detect_times=detect)
+                      detect_times=detect)
     test_length = int(len(input_raw))
     return MergedGrade(
         verdicts=detect >= 0,

@@ -22,8 +22,6 @@ from .fault_parallel import (
     DEFAULT_ENGINE,
     DEFAULT_WORDS,
     ENGINES,
-    fault_parallel_detect,
-    fault_parallel_grade,
     fault_parallel_reference,
     gate_level_missed,
     gate_level_missed_reference,
@@ -71,8 +69,6 @@ __all__ = [
     "enumerate_cell_faults",
     "gate_level_fault_simulation",
     "schedule_fault_batches",
-    "fault_parallel_detect",
-    "fault_parallel_grade",
     "fault_parallel_reference",
     "gate_level_missed",
     "gate_level_missed_reference",

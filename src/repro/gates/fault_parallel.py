@@ -16,22 +16,25 @@ equivalence suite and the baseline of ``repro bench --gates``):
 
 * **compiled evaluation** — the netlist is lowered once to a levelized
   structure-of-arrays program (:mod:`repro.gates.compiled`), the golden
-  machine is simulated once recording every net's waveform, and up to
-  :data:`DEFAULT_WORDS` 64-fault words are evaluated side by side so
-  each numpy call is amortized over hundreds of faulty machines — the
-  decisive lever on deeply-levelized ripple-carry datapaths;
+  machine is simulated once recording every net's waveform, and several
+  64-fault words are evaluated side by side so each numpy call is
+  amortized over hundreds of faulty machines — the decisive lever on
+  deeply-levelized ripple-carry datapaths;
 * **cone restriction** — each batch evaluates only the transitive
   fanout cone of its fault sites, reading golden waveforms at the cone
-  boundary (:class:`~repro.gates.compiled.BatchCone`); the cone-aware
-  scheduler (:func:`repro.gates.faults.schedule_fault_batches`) packs
-  cone-local faults into the same batch to keep cones small;
+  boundary and propagating only the rows that differ from golden
+  (:class:`~repro.gates.eventsim.EventCone`); the cone-aware scheduler
+  (:func:`repro.gates.faults.schedule_fault_batches`) packs cone-local
+  faults into the same batch to keep cones small;
 * **chunked time with fault dropping** — the cone is evaluated in time
   chunks (:data:`DEFAULT_CHUNK` vectors), per-word detection words
   accumulate after each chunk, fully-detected words are compacted away
-  (:meth:`~repro.gates.compiled.BatchCone.compact`), and a batch stops
+  (:meth:`~repro.gates.eventsim.EventCone.compact`), and a batch stops
   early once every lane is detected — which the paper's own coverage
   curves say happens within the first few hundred vectors for >99% of
-  faults.
+  faults.  Iterative deepening (:func:`gate_level_missed`) grades every
+  fault on a short stimulus prefix first and re-grades only survivors
+  on longer ones.
 
 Cone sizes, skipped chunks and dropped faults surface as the telemetry
 counters ``gates.cone_nets``, ``gates.chunks_skipped`` and
@@ -47,13 +50,13 @@ import numpy as np
 from ..errors import SimulationError
 from ..telemetry import get_telemetry
 from .compiled import (
-    BatchCone,
     CompiledNetlist,
     ConeWorkspace,
     compiled_program,
     expand_lane_waves,
     golden_net_waves,
 )
+from .eventsim import EventCone, fused_program
 from .faults import EnumeratedFault, schedule_fault_batches
 from .gatesim import NetlistFault, pack_input_bits
 from .netlist import GateNetlist
@@ -63,8 +66,6 @@ __all__ = [
     "DEFAULT_ENGINE",
     "DEFAULT_WORDS",
     "ENGINES",
-    "fault_parallel_detect",
-    "fault_parallel_grade",
     "fault_parallel_reference",
     "gate_level_missed",
     "gate_level_missed_reference",
@@ -79,24 +80,20 @@ DEFAULT_CHUNK = 512
 #: 64-fault words evaluated side by side per cone pass.
 DEFAULT_WORDS = 8
 
-#: First-deepening-stage word width for the event engine.  The event
-#: evaluator's per-chunk cost is dominated by fixed per-op Python
-#: overhead while the stage-1 prefix is short, so packing 4x more
-#: faults per cone pass cuts the pass count (and cone construction)
-#: almost linearly; later stages keep :data:`DEFAULT_WORDS` so the
-#: per-net buffers stay small at full stimulus length.  Verdicts and
-#: chunk-end detection times are batch-size independent, so widening
-#: one stage cannot change a result.
-EVENT_STAGE1_WORDS = 32
+#: First-deepening-stage word width.  The event evaluator's per-chunk
+#: cost is dominated by fixed per-op Python overhead while the stage-1
+#: prefix is short, so packing 4x more faults per cone pass cuts the
+#: pass count (and cone construction) almost linearly; later stages
+#: keep :data:`DEFAULT_WORDS` so the per-net buffers stay small at full
+#: stimulus length.  Verdicts and chunk-end detection times are batch-
+#: size independent, so widening one stage cannot change a result.
+STAGE1_WORDS = 32
 
-#: Selectable engine tiers, fastest first: ``event`` is the
-#: event-driven frontier evaluator over fused LUT super-gates
-#: (:mod:`repro.gates.eventsim`), ``word`` the dense word-widened cone
-#: engine (:class:`~repro.gates.compiled.BatchCone`), ``reference`` the
-#: pre-optimization whole-netlist oracle.  All three produce
-#: bit-identical verdicts; ``event`` and ``word`` additionally share
-#: chunk-end detection times.
-ENGINES = ("event", "word", "reference")
+#: Selectable engine tiers: ``event`` is the event-driven frontier
+#: evaluator over fused LUT super-gates (:mod:`repro.gates.eventsim`),
+#: ``reference`` the pre-optimization whole-netlist oracle.  Both
+#: produce bit-identical verdicts.
+ENGINES = ("event", "reference")
 
 #: Engine used when callers pass ``engine=None``.
 DEFAULT_ENGINE = "event"
@@ -156,17 +153,13 @@ def _grade_cone_batch(
     ws: ConeWorkspace,
     length: Optional[int] = None,
     first_detect: Optional[np.ndarray] = None,
-    engine: str = "word",
     dense_hint: Optional[bool] = None,
 ) -> Tuple[np.ndarray, Dict[str, int]]:
     """Verdicts + drop statistics for one multi-word cone pass.
 
-    ``engine`` picks the cone evaluator: ``"word"`` builds the dense
-    :class:`BatchCone`, ``"event"`` the frontier-driven
-    :class:`~repro.gates.eventsim.EventCone` over the fused super-gate
-    program.  Both share this driver — chunking, deepening prefix,
-    per-word dropping and chunk-end detection-time capture are
-    identical, so verdicts and times are bit-identical across engines.
+    Builds the frontier-driven :class:`~repro.gates.eventsim.EventCone`
+    over the fused super-gate program and drives it chunk by chunk,
+    dropping fully-detected words between chunks.
 
     ``length`` grades only the stimulus prefix ``[0, length)`` — the
     building block of the iterative-deepening driver; detection over a
@@ -179,6 +172,10 @@ def _grade_cone_batch(
     pass grades from ``t=0`` the times are independent of batch
     composition and schedule — the "actual" axis of the predicted-vs-
     actual rank correlation in ``repro bench --schedule``.
+
+    ``dense_hint`` tells the cone whether this pass grades an all-fresh
+    fault population (frontier provably wide: start dense) or deepening
+    survivors (start sparse); it never changes a verdict.
     """
     n = len(faults)
     words = -(-n // 64)
@@ -186,27 +183,12 @@ def _grade_cone_batch(
         length = lane_waves.shape[1]
     chunk = min(chunk, length) if length else 1
     net_masks, pin_masks = _line_masks(faults, words)
-    if engine == "event":
-        from .eventsim import EventCone, fused_program
-
-        cone = EventCone(fused_program(prog), net_masks, pin_masks, words)
-        # The driver knows whether this pass grades an all-fresh fault
-        # population (first deepening stage: frontier provably wide,
-        # start dense) or deepening survivors (start sparse).
-        if dense_hint is not None:
-            cone.dense_hint = dense_hint
-    else:
-        cone = BatchCone(prog, net_masks, pin_masks, words)
-    if engine == "event":
-        # The event cone reads golden lazily straight from the full
-        # (contiguous) matrix; per-chunk slices stay within [0, length).
-        cone.bind_golden(ws, lane_waves, length)
-    else:
-        # Bind only the graded stimulus window: a deepening-prefix pass
-        # reads golden rows in [0, length) alone, and gathering the full
-        # waveform length would dominate short-prefix stages.
-        cone.bind_golden(ws, lane_waves if length >= lane_waves.shape[1]
-                         else lane_waves[:, :length])
+    cone = EventCone(fused_program(prog), net_masks, pin_masks, words)
+    if dense_hint is not None:
+        cone.dense_hint = dense_hint
+    # The event cone reads golden lazily straight from the full
+    # (contiguous) matrix; per-chunk slices stay within [0, length).
+    cone.bind_golden(ws, lane_waves, length)
 
     full = np.full(words, _ALL_ONES, dtype=np.uint64)
     tail = n - 64 * (words - 1)
@@ -259,8 +241,8 @@ def _grade_cone_batch(
         "chunks_skipped": skipped,
         "faults_dropped": dropped,
         "work": work,
-        "frontier_nets": int(getattr(cone, "frontier_rows", 0)),
-        "words_skipped": int(getattr(cone, "words_skipped", 0)),
+        "frontier_nets": int(cone.frontier_rows),
+        "words_skipped": int(cone.words_skipped),
     }
     lanes = np.arange(64, dtype=np.uint64)
     bits = ((detected[:, None] >> lanes[None, :]) & np.uint64(1))
@@ -302,106 +284,6 @@ def _emit_batch_stats(tel, n_faults: int, stats: Dict[str, int]) -> None:
         tel.counter("gates.words_skipped").add(stats["words_skipped"])
 
 
-def fault_parallel_detect(
-    nl: GateNetlist,
-    input_raw: Sequence[int],
-    faults: Sequence[NetlistFault],
-    golden: Optional[np.ndarray] = None,
-    *,
-    program: Optional[CompiledNetlist] = None,
-    net_waves: Optional[np.ndarray] = None,
-    chunk: Optional[int] = None,
-    engine: Optional[str] = None,
-) -> np.ndarray:
-    """Exact detection verdicts for up to 64 faults in one pass.
-
-    Returns a boolean array aligned with ``faults``: True when the faulty
-    copy's output sequence differs from the fault-free one anywhere
-    (the alias-free response-analyzer criterion).
-
-    ``golden`` (the fault-free *output* sequence) is accepted for
-    backward compatibility but no longer needed: detection reads the
-    golden per-net waveform matrix, which callers grading many batches
-    should precompute once and pass as ``net_waves`` (with the compiled
-    ``program``) to amortize the single golden simulation.
-    """
-    if len(faults) > 64:
-        raise SimulationError("at most 64 faults per batch")
-    return fault_parallel_grade(nl, input_raw, faults, program=program,
-                                net_waves=net_waves, chunk=chunk,
-                                engine=engine)
-
-
-def fault_parallel_grade(
-    nl: GateNetlist,
-    input_raw: Sequence[int],
-    faults: Sequence[NetlistFault],
-    *,
-    program: Optional[CompiledNetlist] = None,
-    net_waves: Optional[np.ndarray] = None,
-    chunk: Optional[int] = None,
-    words: Optional[int] = None,
-    workspace: Optional[ConeWorkspace] = None,
-    engine: Optional[str] = None,
-) -> np.ndarray:
-    """Exact detection verdicts for arbitrarily many faults.
-
-    Faults are graded ``64 * words`` at a time (one cone pass per
-    group); pass pre-scheduled faults (see
-    :func:`repro.gates.faults.schedule_fault_batches`) to keep each
-    pass's cone small.  Verdicts align with ``faults``.  ``engine``
-    selects the cone evaluator tier (:data:`ENGINES`); the
-    ``reference`` tier is only reachable through
-    :func:`gate_level_missed` / :func:`fault_parallel_reference`.
-    """
-    tel = get_telemetry()
-    engine = resolve_engine(engine)
-    if engine == "reference":
-        raise SimulationError(
-            "fault_parallel_grade has no reference tier; use "
-            "fault_parallel_reference")
-    prog = program if program is not None else compiled_program(nl)
-    if net_waves is None:
-        raw = np.asarray(input_raw, dtype=np.int64)
-        net_waves = golden_net_waves(
-            prog, pack_input_bits(raw, len(nl.input_bits)))
-    lane_waves = expand_lane_waves(net_waves)
-    chunk_len = DEFAULT_CHUNK if chunk is None else max(1, int(chunk))
-    auto_words = words is None
-    words = DEFAULT_WORDS if words is None else max(1, int(words))
-    ws = workspace if workspace is not None else ConeWorkspace()
-
-    faults = list(faults)
-    verdicts = np.zeros(len(faults), dtype=bool)
-    # Same iterative-deepening strategy as gate_level_missed: finalize
-    # the easy majority on a short prefix, regrade survivors (packed
-    # densely, preserving the caller's locality order) on longer ones.
-    remaining = np.arange(len(faults))
-    stages = _deepening_schedule(lane_waves.shape[1], chunk_len)
-    for stage_len in stages:
-        stage_words = (EVENT_STAGE1_WORDS
-                       if auto_words and engine == "event"
-                       and stage_len == stages[0] else words)
-        span_size = 64 * stage_words
-        for start in range(0, remaining.size, span_size):
-            idx = remaining[start:start + span_size]
-            batch = [faults[i] for i in idx]
-            with tel.span("gates.fault_batch", faults=len(batch),
-                          prefix=stage_len):
-                batch_verdicts, stats = _grade_cone_batch(
-                    prog, lane_waves, batch, chunk_len, ws,
-                    length=stage_len, engine=engine, dense_hint=True)
-            verdicts[idx] = batch_verdicts
-            if tel.enabled:
-                _emit_batch_stats(tel, len(batch), stats)
-        if stage_len == lane_waves.shape[1]:
-            break
-        remaining = remaining[~verdicts[remaining]]
-        if not remaining.size:
-            break
-    return verdicts
-
-
 def gate_level_missed(
     nl: GateNetlist,
     input_raw: Sequence[int],
@@ -424,7 +306,7 @@ def gate_level_missed(
 
     Faults are grouped into cone-local batches
     (:func:`repro.gates.faults.schedule_fault_batches`) of
-    ``64 * words`` and graded by the cone engine; the returned list
+    ``64 * words`` and graded by the event cone engine; the returned list
     preserves the input fault order, so results are deterministic
     regardless of scheduling.  ``progress`` ticks once per 64 graded
     faults, matching the historical batch granularity.
@@ -458,16 +340,16 @@ def gate_level_missed(
     deepening on.
 
     ``engine`` selects the evaluator tier (:data:`ENGINES`, default
-    :data:`DEFAULT_ENGINE`).  ``"event"`` and ``"word"`` share this
-    driver and are bit-identical in verdicts *and* detection times;
-    ``"reference"`` delegates to :func:`gate_level_missed_reference`
-    (verdict-identical, but it predates the hooks below and rejects
-    them).
+    :data:`DEFAULT_ENGINE`).  ``"reference"`` delegates to
+    :func:`gate_level_missed_reference` (verdict-identical, but it
+    predates the hooks above and rejects them).
 
     ``program``/``net_waves`` accept a pre-compiled program and a
     pre-simulated golden per-net waveform matrix, skipping the
     corresponding pipeline stages here.  ``repro bench --gates`` uses
-    this to time the compile/golden/grade phases separately.
+    this to time the compile/golden/grade phases separately, and the
+    process pool (:mod:`repro.parallel.gatework`) to compile and
+    simulate once per worker however many slices it grades.
     """
     tel = get_telemetry()
     engine = resolve_engine(engine)
@@ -499,9 +381,7 @@ def gate_level_missed(
                     prog, pack_input_bits(raw, len(nl.input_bits))))
 
         lane_waves = expand_lane_waves(net_waves)
-        if engine == "event" and tel.enabled:
-            from .eventsim import fused_program
-
+        if tel.enabled:
             tel.counter("gates.lut_fused_levels").add(
                 fused_program(prog).stats["levels_fused"])
         chunk_len = DEFAULT_CHUNK if chunk is None else max(1, int(chunk))
@@ -521,9 +401,9 @@ def gate_level_missed(
                   else [len(raw)])
         for stage_len in stages:
             final = stage_len == len(raw)
-            stage_words = (EVENT_STAGE1_WORDS
-                           if auto_words and engine == "event"
-                           and stage_len == stages[0] else n_words)
+            stage_words = (STAGE1_WORDS
+                           if auto_words and stage_len == stages[0]
+                           else n_words)
             subset = [faults[i] for i in remaining]
             for batch in plan_batches(subset, 64 * stage_words):
                 idx = remaining[np.asarray(batch, dtype=np.int64)]
@@ -535,8 +415,7 @@ def gate_level_missed(
                         prog, lane_waves,
                         [faults[i].netlist_fault for i in idx],
                         chunk_len, ws, length=stage_len,
-                        first_detect=first_detect, engine=engine,
-                        dense_hint=True)
+                        first_detect=first_detect, dense_hint=True)
                 verdicts[idx] = batch_verdicts
                 if first_detect is not None:
                     hit = first_detect >= 0

@@ -1,8 +1,8 @@
 """Parallel execution layer for fault-simulation campaigns.
 
 The paper's experiment grids are embarrassingly parallel — every
-(design, generator, length) session and every 64-fault gate batch is
-independent.  This package supplies the substrate:
+(design, generator, length) session and every slice of a gate-level
+fault universe is independent.  This package supplies the substrate:
 
 * :mod:`~repro.parallel.pool` — order-preserving process-pool map with
   chunked work queues, crash/timeout detection and automatic serial
@@ -11,8 +11,8 @@ independent.  This package supplies the substrate:
   fanned-out run is bit-identical to its serial counterpart;
 * :mod:`~repro.parallel.sweep` — design x generator coverage grids
   (the CLI's ``repro sweep`` / ``repro bench``);
-* :mod:`~repro.parallel.gatework` — distributed exact gate-level
-  cross-validation batches.
+* :mod:`~repro.parallel.gatework` — exact gate-level grading, one
+  fault-schedule slice per worker.
 """
 
 from .gatework import gate_level_missed_parallel

@@ -1,11 +1,11 @@
 """Randomized equivalence: cone engine vs the reference fault simulator.
 
-The optimized gate-level engine (compiled programs, cone restriction,
-word-widened batches, time chunking with fault dropping, iterative
-deepening) must be a *pure speedup*: verdict-for-verdict identical to
-the retained pre-optimization reference engine on every design, batch
-shape, chunk size and word width.  These tests sweep randomized small
-designs and stimulus to pin that contract down.
+The optimized gate-level engine (compiled programs, event-driven cone
+restriction, multi-word batches, time chunking with fault dropping,
+iterative deepening) must be a *pure speedup*: verdict-for-verdict
+identical to the retained pre-optimization reference engine on every
+design, batch shape, chunk size and word width.  These tests sweep
+randomized small designs and stimulus to pin that contract down.
 """
 
 import numpy as np
@@ -15,9 +15,6 @@ from repro.cache import ArtifactCache
 from repro.gates import (
     elaborate,
     enumerate_cell_faults,
-    fault_parallel_detect,
-    fault_parallel_grade,
-    fault_parallel_reference,
     gate_level_missed,
     gate_level_missed_reference,
     schedule_fault_batches,
@@ -78,34 +75,40 @@ class TestRandomizedEquivalence:
                 assert got == expect, (chunk, words)
 
     def test_straddling_batches_match_reference(self, rng):
-        """fault_parallel_detect == fault_parallel_reference on any
+        """gate_level_missed == gate_level_missed_reference on any
         64-fault window, including ones straddling scheduler batches."""
         design = build_small_design("leading_negative")
         nl = elaborate(design.graph)
-        faults = [f.netlist_fault
-                  for f in enumerate_cell_faults(design.graph, nl)]
+        faults = enumerate_cell_faults(design.graph, nl)
         raw = rng.integers(-2048, 2048, size=200)
         for _ in range(6):
             lo = int(rng.integers(0, max(1, len(faults) - 64)))
             batch = faults[lo:lo + int(rng.integers(1, 65))]
-            fast = fault_parallel_detect(nl, raw, batch)
-            slow = fault_parallel_reference(nl, raw, batch)
-            assert np.array_equal(fast, slow), lo
+            fast = [_fault_key(f) for f in gate_level_missed(nl, raw, batch)]
+            slow = [_fault_key(f)
+                    for f in gate_level_missed_reference(nl, raw, batch)]
+            assert fast == slow, lo
 
     def test_grade_matches_reference_on_permutations(self, rng):
-        """Verdicts are independent of fault order (scatter-back)."""
+        """Verdicts and detection times are independent of fault order
+        (scatter-back), and the verdicts match the reference."""
         design = build_small_design("single_digit")
         nl = elaborate(design.graph)
-        enumerated = enumerate_cell_faults(design.graph, nl)
-        faults = [f.netlist_fault for f in enumerated]
+        faults = enumerate_cell_faults(design.graph, nl)
         raw = rng.integers(-2048, 2048, size=150)
-        base = fault_parallel_grade(nl, raw, faults)
-        assert base.shape == (len(faults),)
+        base = np.full(len(faults), -1, dtype=np.int64)
+        missed = gate_level_missed(nl, raw, faults, detect_times=base)
+        expect = gate_level_missed_reference(nl, raw, faults)
+        assert [_fault_key(f) for f in missed] == \
+            [_fault_key(f) for f in expect]
         for _ in range(3):
             perm = rng.permutation(len(faults))
-            shuffled = fault_parallel_grade(nl, raw,
-                                            [faults[i] for i in perm])
-            assert np.array_equal(shuffled, base[perm])
+            shuffled = [faults[i] for i in perm]
+            dt = np.full(len(faults), -1, dtype=np.int64)
+            missed = gate_level_missed(nl, raw, shuffled, detect_times=dt)
+            assert np.array_equal(dt, base[perm])
+            assert [_fault_key(f) for f in missed] == \
+                [_fault_key(shuffled[i]) for i in np.flatnonzero(dt < 0)]
 
     def test_schedule_covers_every_fault_exactly_once(self, rng):
         """The cone-aware scheduler is a permutation in batches."""
@@ -120,13 +123,14 @@ class TestRandomizedEquivalence:
 
 
 class TestEngineEquivalence:
-    """Three-way engine identity: event == word == reference.
+    """Engine identity: event == reference.
 
-    Verdicts must match the reference oracle for every engine tier,
-    and — because detection times are recorded at canonical-chunk-end
-    granularity — detection times and the MISR signature of the
-    detection-time stream must be identical across engines, word
-    widths and schedulers *at a fixed chunk size*.
+    The event engine's verdicts must match the reference oracle at
+    every chunk size, word width and scheduler, and — because detection
+    times are recorded at canonical-chunk-end granularity — detection
+    times and the MISR signature of the detection-time stream must be
+    identical across word widths and schedulers *at a fixed chunk
+    size*.
     """
 
     def _schedulers(self, design):
@@ -155,30 +159,25 @@ class TestEngineEquivalence:
                                               engine="reference")]
             assert ref == expect
             base = {}  # chunk -> (detect_times, signature)
-            for engine in ("word", "event"):
-                for chunk, words in ((None, None), (64, 2), (64, 1),
-                                     (512, 8)):
-                    for mode, sched in self._schedulers(design):
-                        tag = (trial, engine, chunk, words, mode)
-                        dt = np.full(len(faults), -1, dtype=np.int64)
-                        missed = gate_level_missed(
-                            nl, raw, faults, chunk=chunk, words=words,
-                            engine=engine, scheduler=sched,
-                            detect_times=dt)
-                        assert [_fault_key(f)
-                                for f in missed] == expect, tag
-                        sig = stream_signature(16,
-                                               [int(t) for t in dt])
-                        if chunk not in base:
-                            base[chunk] = (dt.copy(), sig)
-                        else:
-                            bdt, bsig = base[chunk]
-                            assert np.array_equal(dt, bdt), tag
-                            assert sig == bsig, tag
+            for chunk, words in ((None, None), (64, 2), (64, 1), (512, 8)):
+                for mode, sched in self._schedulers(design):
+                    tag = (trial, chunk, words, mode)
+                    dt = np.full(len(faults), -1, dtype=np.int64)
+                    missed = gate_level_missed(
+                        nl, raw, faults, chunk=chunk, words=words,
+                        engine="event", scheduler=sched, detect_times=dt)
+                    assert [_fault_key(f) for f in missed] == expect, tag
+                    sig = stream_signature(16, [int(t) for t in dt])
+                    if chunk not in base:
+                        base[chunk] = (dt.copy(), sig)
+                    else:
+                        bdt, bsig = base[chunk]
+                        assert np.array_equal(dt, bdt), tag
+                        assert sig == bsig, tag
 
     def test_partial_misr_signatures_merge_identically(self, rng):
-        """Sharded partial signatures over each engine's detection
-        times combine to the same full-stream MISR signature."""
+        """Sharded partial signatures over the detection times of each
+        word width combine to the same full-stream MISR signature."""
         from repro.cluster.signature import (combine_partials,
                                              shard_signature_partial,
                                              stream_signature)
@@ -189,9 +188,9 @@ class TestEngineEquivalence:
         raw = rng.integers(-2048, 2048, size=256)
         sigs = set()
         total = len(faults)
-        for engine in ("word", "event"):
+        for n_words in (None, 1):
             dt = np.full(total, -1, dtype=np.int64)
-            gate_level_missed(nl, raw, faults, engine=engine,
+            gate_level_missed(nl, raw, faults, words=n_words,
                               detect_times=dt)
             words = [int(t) for t in dt]
             full = stream_signature(16, words)
@@ -204,7 +203,7 @@ class TestEngineEquivalence:
             ]
             assert combine_partials(partials) == full
             sigs.add(full)
-        assert len(sigs) == 1  # engines agree bit for bit
+        assert len(sigs) == 1  # word widths agree bit for bit
 
 
 class TestCachedEquivalence:

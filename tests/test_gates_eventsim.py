@@ -171,18 +171,7 @@ class TestWorkspaceReuse:
         windows = [faults[:128], faults[5:9], faults[:128],
                    faults[40:44], faults[64:192]]
         for i, batch in enumerate(windows):
-            got, _stats = _grade_cone_batch(prog, lanes, batch, 64, ws,
-                                            engine="event")
-            expect = _ref_verdicts(nl, raw, batch)
-            assert np.array_equal(got, expect), i
-
-    def test_word_engine_shares_the_same_contract(self, rng):
-        nl, prog, raw, lanes, faults = _batch_setup("with_zero", rng)
-        ws = ConeWorkspace()
-        for i, batch in enumerate([faults[:96], faults[3:7],
-                                   faults[:96]]):
-            got, _stats = _grade_cone_batch(prog, lanes, batch, 64, ws,
-                                            engine="word")
+            got, _stats = _grade_cone_batch(prog, lanes, batch, 64, ws)
             expect = _ref_verdicts(nl, raw, batch)
             assert np.array_equal(got, expect), i
 
@@ -211,8 +200,7 @@ class TestFrontierSkip:
                  and int(f.lines[1]) in quiet][:64]
         assert len(batch) >= 8
         got, stats = _grade_cone_batch(prog, lanes, batch, 64,
-                                       ConeWorkspace(), engine="event",
-                                       dense_hint=False)
+                                       ConeWorkspace(), dense_hint=False)
         expect = _ref_verdicts(nl, raw, batch)
         assert np.array_equal(got, expect)
         assert not got.any()

@@ -7,7 +7,7 @@ from repro.errors import SimulationError
 from repro.gates import (
     elaborate,
     enumerate_cell_faults,
-    fault_parallel_detect,
+    fault_parallel_reference,
     gate_level_missed,
     netlist_fault_detected,
     simulate_netlist,
@@ -27,15 +27,21 @@ def setup(rng=None):
     return design, nl, faults, raw, golden
 
 
+def _verdicts(nl, raw, faults):
+    """Per-fault detection verdicts from gate_level_missed."""
+    detect = np.full(len(faults), -1, dtype=np.int64)
+    gate_level_missed(nl, raw, faults, detect_times=detect)
+    return detect >= 0
+
+
 class TestFaultParallel:
     def test_matches_serial_injector_everywhere(self, setup):
-        """Every verdict of every batch must equal the serial result —
-        the fault-parallel engine is a pure speedup."""
+        """Every verdict of every 64-fault window must equal the serial
+        result — the fault-parallel engine is a pure speedup."""
         design, nl, faults, raw, golden = setup
         for start in range(0, min(len(faults), 320), 64):
             batch = faults[start:start + 64]
-            fast = fault_parallel_detect(
-                nl, raw, [f.netlist_fault for f in batch], golden=golden)
+            fast = _verdicts(nl, raw, batch)
             slow = [netlist_fault_detected(nl, raw, f.netlist_fault,
                                            golden=golden) for f in batch]
             assert list(fast) == slow
@@ -43,16 +49,18 @@ class TestFaultParallel:
     def test_partial_batch(self, setup):
         design, nl, faults, raw, golden = setup
         batch = faults[:5]
-        fast = fault_parallel_detect(nl, raw,
-                                     [f.netlist_fault for f in batch],
-                                     golden=golden)
+        fast = _verdicts(nl, raw, batch)
         assert len(fast) == 5
+        assert list(fast) == [
+            netlist_fault_detected(nl, raw, f.netlist_fault, golden=golden)
+            for f in batch]
 
     def test_oversized_batch_rejected(self, setup):
+        """The reference oracle grades one 64-lane word per pass."""
         design, nl, faults, raw, golden = setup
         with pytest.raises(SimulationError):
-            fault_parallel_detect(nl, raw,
-                                  [faults[0].netlist_fault] * 65)
+            fault_parallel_reference(nl, raw,
+                                     [faults[0].netlist_fault] * 65)
 
     def test_gate_level_missed_full_universe(self, setup):
         """Whole-universe exact miss list equals the serial engine's."""

@@ -206,6 +206,29 @@ class TestGatework:
                                    ticks.append((done, total)))
         assert ticks and ticks[-1][0] == ticks[-1][1] == len(faults)
 
+    def test_reference_engine_rejected_before_workers(self, small_design,
+                                                      monkeypatch):
+        """The pool grades with the event engine only: asking it for
+        the reference oracle fails in the parent, naming the engine,
+        before any worker is started."""
+        import repro.parallel.gatework as gatework
+        from repro.errors import SimulationError
+        from repro.gates.faults import enumerate_cell_faults
+        from repro.gates.netlist import elaborate
+        from repro.generators import Type1Lfsr
+
+        def _no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(gatework, "parallel_map", _no_pool)
+        nl = elaborate(small_design.graph)
+        faults = enumerate_cell_faults(small_design.graph, nl)
+        raw = Type1Lfsr(small_design.input_fmt.width).sequence(32)
+        with pytest.raises(SimulationError,
+                           match="supports only the 'event' engine"):
+            gate_level_missed_parallel(nl, raw, faults, jobs=2,
+                                       engine="reference")
+
 
 class TestCliSweepBench:
     def test_sweep_with_cache(self, tmp_path, capsys):

@@ -31,7 +31,7 @@ def _bench_gatesim():
             "speedup": 2.0, "identical": True}
 
 
-def _bench_gatesim_v2():
+def _bench_gatesim_v3():
     def engine(seconds, counters=False):
         doc = {"seconds": seconds,
                "faults_per_sec": 100.0 / seconds,
@@ -41,13 +41,10 @@ def _bench_gatesim_v2():
             doc["counters"] = {"gates.fault_batches": 3}
         return doc
 
-    return {"schema": "repro-bench-gatesim/2",
+    return {"schema": "repro-bench-gatesim/3",
             "engines": {"event": engine(1.0, counters=True),
-                        "word": engine(2.0),
                         "reference": engine(8.0)},
-            "speedups": {"event_vs_reference": 8.0,
-                         "word_vs_reference": 4.0,
-                         "event_vs_word": 2.0},
+            "speedups": {"event_vs_reference": 8.0},
             "identical": True}
 
 
@@ -108,7 +105,7 @@ _VALID = {
     "repro-fleet/1": _fleet,
     "repro-bench-parallel/1": _bench_parallel,
     "repro-bench-gatesim/1": _bench_gatesim,
-    "repro-bench-gatesim/2": _bench_gatesim_v2,
+    "repro-bench-gatesim/3": _bench_gatesim_v3,
     "repro-bench-schedule/1": _bench_schedule,
     "repro-cluster-sweep/1": _cluster_sweep,
     "repro-loadtest/1": _loadtest,
@@ -145,20 +142,30 @@ class TestRejections:
         with pytest.raises(ReportSchemaError, match="positive"):
             validate_report(doc)
 
-    def test_bench_gatesim_v2_missing_engine(self):
-        doc = _bench_gatesim_v2()
-        del doc["engines"]["word"]
+    def test_bench_gatesim_v3_missing_engine(self):
+        doc = _bench_gatesim_v3()
+        del doc["engines"]["reference"]
         with pytest.raises(ReportSchemaError, match="engines"):
             validate_report(doc)
 
-    def test_bench_gatesim_v2_not_identical(self):
-        doc = _bench_gatesim_v2()
+    def test_bench_gatesim_v3_extra_engine_or_speedup(self):
+        doc = _bench_gatesim_v3()
+        doc["engines"]["word"] = dict(doc["engines"]["reference"])
+        with pytest.raises(ReportSchemaError, match="engines"):
+            validate_report(doc)
+        doc = _bench_gatesim_v3()
+        doc["speedups"]["event_vs_word"] = 1.4
+        with pytest.raises(ReportSchemaError, match="speedups"):
+            validate_report(doc)
+
+    def test_bench_gatesim_v3_not_identical(self):
+        doc = _bench_gatesim_v3()
         doc["identical"] = False
         with pytest.raises(ReportSchemaError, match="identical"):
             validate_report(doc)
 
-    def test_bench_gatesim_v2_missing_phases(self):
-        doc = _bench_gatesim_v2()
+    def test_bench_gatesim_v3_missing_phases(self):
+        doc = _bench_gatesim_v3()
         del doc["engines"]["event"]["phases"]
         with pytest.raises(ReportSchemaError, match="phases"):
             validate_report(doc)

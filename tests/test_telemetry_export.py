@@ -365,7 +365,7 @@ class TestCliIntegration:
         from repro.cli import main
 
         trace = tmp_path / "pooled.json"
-        # 1024 faults = two BATCH-sized tasks, so the pool really runs.
+        # 1024 faults = two schedule slices, one per worker.
         rc = main(["profile", "LP", "ramp", "--vectors", "48",
                    "--exact", "1024", "--jobs", "2",
                    "--export-trace", str(trace)])
@@ -373,9 +373,20 @@ class TestCliIntegration:
         doc = json.loads(trace.read_text())
         spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         (pool,) = [e for e in spans if e["name"] == "gates.fault_pool"]
+        parent_of = {e["args"]["id"]: e["args"]["parent"] for e in spans}
+
+        def under_pool(span_id):
+            while span_id is not None:
+                if span_id == pool["args"]["id"]:
+                    return True
+                span_id = parent_of.get(span_id)
+            return False
+
+        # Each worker's slice nests its batches under its own
+        # gates.fault_parallel span, below the pool span.
         batches = [e for e in spans
                    if e["name"] == "gates.fault_batch"
-                   and e["args"]["parent"] == pool["args"]["id"]]
+                   and under_pool(e["args"]["parent"])]
         assert batches, "no fault_batch spans under the pool span"
         assert len({e["pid"] for e in spans}) >= 2, \
             "worker spans did not merge back"

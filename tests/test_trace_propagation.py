@@ -50,6 +50,13 @@ def _tree_shape(span):
             tuple(sorted(_tree_shape(c) for c in span.children)))
 
 
+def _descendants(span):
+    """Every span below ``span``, depth first."""
+    for child in span.children:
+        yield child
+        yield from _descendants(child)
+
+
 class TestTraceContext:
     def test_none_when_disabled(self):
         assert not get_telemetry().enabled
@@ -219,7 +226,9 @@ class TestGateworkPropagation:
             assert root.name == "gates.fault_parallel_pool"
             (pool,) = [c for c in root.children
                        if c.name == "gates.fault_pool"]
-            batches = [s for s in pool.children
+            # Each worker's slice nests its batches one level deeper,
+            # under that slice's gates.fault_parallel span.
+            batches = [s for s in _descendants(pool)
                        if s.name == "gates.fault_batch"]
             assert batches, "worker batch spans did not merge back"
             assert tel.counter("gates.faults_graded").value == len(faults)
