@@ -36,14 +36,14 @@ def main() -> None:
     coefs = sp_signal.firwin(31, 0.4)  # firwin cutoff is in Nyquist units
     design = design_from_coefficients(coefs, name="user-lp31",
                                       coef_frac=14, max_nonzeros=4)
-    stats = design_statistics(design)
+    universe = build_fault_universe(design.graph, name=design.name)
+    stats = design_statistics(design, universe)
     print(f"{stats.name}: {stats.adders} operators, {stats.registers} "
           f"registers, {stats.faults} collapsed faults "
           f"({stats.uncollapsed_faults} uncollapsed)")
 
     # 2. pick a scheme and grade it
     scheme = propose_scheme(design, n_vectors=N_VECTORS)
-    universe = build_fault_universe(design.graph, name=design.name)
     result = run_fault_coverage(design, scheme, N_VECTORS, universe=universe)
     print()
     print(coverage_summary(result))

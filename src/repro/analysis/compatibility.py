@@ -85,9 +85,10 @@ def compatibility_ratio(
     freqs: np.ndarray, gen_power: np.ndarray, h: np.ndarray
 ) -> Tuple[float, float]:
     """(sigma_y^2, flat-reference sigma_y^2) for a generator spectrum."""
-    sigma_y2 = output_variance_estimate(freqs, gen_power, h)
+    gain = _filter_gain_on(freqs, h)
+    sigma_y2 = float(np.mean(gen_power * gain))
     total_power = float(np.mean(gen_power))
-    flat = total_power * float(np.mean(_filter_gain_on(freqs, h)))
+    flat = total_power * float(np.mean(gain))
     return sigma_y2, flat
 
 

@@ -62,7 +62,10 @@ def encode_universe(graph, universe: FaultUniverse) -> Tuple[Arrays, Meta]:
                         dtype=np.int64)
     cell_width = np.empty(len(universe.cells), dtype=np.int64)
     cell_is_sub = np.empty(len(universe.cells), dtype=np.bool_)
-    for row, (nid, _bit) in enumerate(universe.cells):
+    # Fault name -> slot in its cell's variant: one map per variant kind.
+    slot_maps: Dict[str, Dict[str, int]] = {}
+    cell_slots = []
+    for row, (nid, bit) in enumerate(universe.cells):
         try:
             width, is_sub = node_info[nid]
         except KeyError:
@@ -70,13 +73,15 @@ def encode_universe(graph, universe: FaultUniverse) -> Tuple[Arrays, Meta]:
                 f"universe cell references node {nid} absent from graph")
         cell_width[row] = width
         cell_is_sub[row] = is_sub
-    fault_slot = np.empty(universe.fault_count, dtype=np.int64)
-    for i, fault in enumerate(universe.faults):
-        row = int(universe.fault_cell[i])
-        variant = variant_for_bit(int(cell_bit[row]), int(cell_width[row]),
-                                  bool(cell_is_sub[row]))
-        slots = {cf.name: s for s, cf in enumerate(variant.faults)}
-        fault_slot[i] = slots[fault.cell_fault.name]
+        variant = variant_for_bit(bit, width, is_sub)
+        if variant.kind not in slot_maps:
+            slot_maps[variant.kind] = {
+                cf.name: s for s, cf in enumerate(variant.faults)}
+        cell_slots.append(slot_maps[variant.kind])
+    fault_slot = np.fromiter(
+        (cell_slots[row][fault.cell_fault.name] for row, fault
+         in zip(universe.fault_cell.tolist(), universe.faults)),
+        dtype=np.int64, count=universe.fault_count)
     arrays = {
         "cell_node": cell_node,
         "cell_bit": cell_bit,

@@ -2162,7 +2162,7 @@ def _dispatch(args, tel: Optional[Telemetry]) -> int:
 
     if args.command == "stats":
         for name, design in ctx.designs.items():
-            s = design_statistics(design)
+            s = design_statistics(design, ctx.universe(name))
             print(f"{name}: {s.adders} operators, {s.registers} registers, "
                   f"in {s.input_width}b / coef {s.coefficient_width}b / "
                   f"out {s.output_width}b, {s.faults} faults "

@@ -101,7 +101,7 @@ def table1(ctx: Optional[ExperimentContext] = None) -> TableResult:
     headers = ["design", "adders", "regs", "in", "coef", "out", "faults"]
     rows = []
     for name in DESIGN_ORDER:
-        s = design_statistics(ctx.designs[name])
+        s = design_statistics(ctx.designs[name], ctx.universe(name))
         rows.append(s.row())
     paper_rows = [[n, *PAPER_TABLE1[n]] for n in DESIGN_ORDER]
     return TableResult(

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..faultsim.dictionary import build_fault_universe
+from ..faultsim.dictionary import FaultUniverse
 from ..rtl.build import FilterDesign
 
 __all__ = ["DesignStats", "design_statistics"]
@@ -43,9 +43,9 @@ def _coefficient_width(design: FilterDesign) -> int:
     return width
 
 
-def design_statistics(design: FilterDesign) -> DesignStats:
-    """Compute the Table 1 row for one design."""
-    universe = build_fault_universe(design.graph, name=design.name)
+def design_statistics(design: FilterDesign,
+                      universe: FaultUniverse) -> DesignStats:
+    """Compute the Table 1 row for one design from its fault universe."""
     return DesignStats(
         name=design.name,
         adders=design.adder_count,

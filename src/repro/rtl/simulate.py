@@ -179,6 +179,7 @@ def simulate(
     tel = get_telemetry()
     timed = tel.enabled
     kind_seconds: Dict[OpKind, float] = {}
+    hook_seconds = 0.0
     with tel.span("rtl.simulate", nodes=len(order), vectors=length):
         for nid in order:
             if timed:
@@ -201,7 +202,12 @@ def simulate(
                 a = _align(live[node.srcs[0]], graph.node(node.srcs[0]).fmt, node.fmt)
                 b = _align(live[node.srcs[1]], graph.node(node.srcs[1]).fmt, node.fmt)
                 if adder_hook is not None:
+                    t_hook = time.perf_counter() if timed else 0.0
                     adder_hook(node, a, b)
+                    if timed:
+                        t_hook = time.perf_counter() - t_hook
+                        hook_seconds += t_hook
+                        t0 += t_hook  # the kind's seconds exclude the hook
                 if fault is not None and fault.node_id == nid:
                     value = _eval_faulty_adder(a, b, node, fault)
                 elif node.kind is OpKind.ADD:
@@ -228,6 +234,8 @@ def simulate(
         tel.counter("rtl.node_cycles").add(len(order) * length)
         for kind, seconds in kind_seconds.items():
             tel.counter(f"rtl.kind.{kind.name.lower()}.seconds").add(seconds)
+        if adder_hook is not None:
+            tel.counter("rtl.adder_hook.seconds").add(hook_seconds)
     return SimResult(graph=graph, length=length, values=kept)
 
 

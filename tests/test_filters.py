@@ -62,7 +62,7 @@ class TestReferenceDesigns:
                  "BP": (161, 58, 12, 14, 16, 50650),
                  "HP": (175, 60, 12, 15, 16, 55042)}
         for name, design in ctx.designs.items():
-            s = design_statistics(design)
+            s = design_statistics(design, ctx.universe(name))
             p_adders, p_regs, p_in, p_coef, p_out, p_faults = paper[name]
             assert s.registers == p_regs
             assert s.input_width == p_in

@@ -8,6 +8,7 @@ counters, and the CLI surface (``profile``, ``--profile``,
 
 import json
 import logging
+import time
 
 import numpy as np
 import pytest
@@ -56,6 +57,26 @@ class TestEngineInstrumentation:
                      if n.startswith("faultsim.detect_latency.")]
         assert latencies
         assert sum(h.count for h in latencies) == result.detected()
+
+    def test_adder_hook_time_kept_apart_from_adder_kinds(self, small_design):
+        raw = np.zeros(64, dtype=np.int64)
+
+        def slow_hook(node, a, b):
+            time.sleep(0.002)
+
+        ops = len(small_design.graph.arithmetic_nodes)
+        with telemetry_session() as tel:
+            simulate(small_design.graph, raw, adder_hook=slow_hook)
+        metrics = tel.metrics()
+        hook_s = metrics["rtl.adder_hook.seconds"].value
+        adder_s = sum(metrics[f"rtl.kind.{k}.seconds"].value
+                      for k in ("add", "sub")
+                      if f"rtl.kind.{k}.seconds" in metrics)
+        assert hook_s >= 0.002 * ops
+        assert adder_s < 0.002 * ops
+        with telemetry_session() as tel:
+            simulate(small_design.graph, raw)
+        assert "rtl.adder_hook.seconds" not in tel.metrics()
 
     def test_universe_build_span_only_when_needed(self, small_design):
         with telemetry_session() as tel:
