@@ -1,6 +1,6 @@
 """Shard dispatch across a fleet of ``repro serve`` workers.
 
-The coordinator plans cone-aligned shards (:mod:`~repro.cluster.shards`),
+The coordinator plans cone-aligned shards (:mod:`repro.gates.shards`),
 runs one dispatcher thread per worker endpoint, and drives each shard
 through the existing HTTP+JSON job protocol as a ``grade-shard`` job:
 
@@ -46,17 +46,18 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..errors import ClusterError
-from ..service.client import ServiceBusy, ServiceClient, ServiceClientError
-from ..telemetry import TraceContext, get_telemetry
-from .shards import (
+from ..gates.shards import (
     DEFAULT_MISR_WIDTH,
     DEFAULT_SHARD_FAULTS,
     MergedGrade,
     Shard,
+    gate_grading_inputs,
     merge_shard_results,
     plan_shards,
     single_node_grade,
 )
+from ..service.client import ServiceBusy, ServiceClient, ServiceClientError
+from ..telemetry import TraceContext, get_telemetry
 
 __all__ = ["ClusterCoordinator", "ClusterReport", "run_cluster_sweep"]
 
@@ -560,30 +561,22 @@ def run_cluster_sweep(
 ) -> ClusterReport:
     """Plan, dispatch and merge one sharded sweep; optionally verify.
 
-    The universe, stimulus and scheduler are built exactly as the
-    workers build them (same resolver, same enumeration, same
-    ``match_width`` stimulus), so global fault indices mean the same
-    thing on every node.  ``verify=True`` additionally runs the
-    single-node oracle locally and raises
-    :class:`~repro.errors.ClusterError` unless verdicts, detection
-    times, checkpoints and the MISR signature are all bit-identical.
+    The universe and stimulus come from
+    :func:`~repro.gates.shards.gate_grading_inputs`, as on every
+    worker, so global fault indices mean the same thing on every node.
+    ``verify=True`` additionally runs the single-node oracle locally
+    and raises :class:`~repro.errors.ClusterError` unless verdicts,
+    detection times, checkpoints and the MISR signature are all
+    bit-identical.
     """
     from ..experiments import ExperimentContext
-    from ..gates import elaborate, enumerate_cell_faults
-    from ..generators.base import match_width
-    from ..resolve import make_generator, resolve_design, resolve_generator
+    from ..resolve import resolve_design, resolve_generator
 
     design = resolve_design(design)
     generator = resolve_generator(generator)
-    ctx = ExperimentContext(cache=cache)
-    dsg = ctx.designs[design]
-    nl = elaborate(dsg.graph)
-    faults = enumerate_cell_faults(dsg.graph, nl)
-    if faults_limit:
-        faults = faults[:faults_limit]
-    gen = make_generator(generator, width, vectors)
-    raw = match_width(gen.sequence(vectors), gen.width,
-                      dsg.input_fmt.width)
+    dsg, nl, faults, raw = gate_grading_inputs(
+        ExperimentContext(cache=cache), design, generator, vectors, width,
+        faults_limit=faults_limit)
 
     scheduler = None
     if schedule != "cone":

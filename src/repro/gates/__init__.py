@@ -1,5 +1,6 @@
-"""Gate-level substrate: cell fault dictionaries, netlist elaboration and
-the exact parallel-pattern fault-injection simulator."""
+"""Gate-level substrate: cell fault dictionaries, netlist elaboration,
+the exact parallel-pattern fault-injection simulator, and the shard —
+the one unit of exact graded work every dispatcher moves."""
 
 from .cells import CellFault, CellVariant, VARIANT_KINDS, cell_variant, variant_for_bit
 from .netlist import Dff, Gate, GateNetlist, GateRef, elaborate
@@ -27,6 +28,17 @@ from .fault_parallel import (
     gate_level_missed_reference,
     resolve_engine,
 )
+from .shards import (
+    MergedGrade,
+    Shard,
+    coverage_checkpoints,
+    gate_grading_inputs,
+    grade_shard,
+    merge_shard_results,
+    plan_shards,
+    single_node_grade,
+)
+from .signature import combine_partials, shard_signature_partial
 from .eventsim import (
     EventCone,
     FusedProgram,
@@ -72,6 +84,16 @@ __all__ = [
     "fault_parallel_reference",
     "gate_level_missed",
     "gate_level_missed_reference",
+    "MergedGrade",
+    "Shard",
+    "combine_partials",
+    "coverage_checkpoints",
+    "gate_grading_inputs",
+    "grade_shard",
+    "merge_shard_results",
+    "plan_shards",
+    "shard_signature_partial",
+    "single_node_grade",
     "netlist_to_verilog",
     "generate_testbench",
     "save_verilog",

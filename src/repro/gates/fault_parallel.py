@@ -347,9 +347,7 @@ def gate_level_missed(
     ``program``/``net_waves`` accept a pre-compiled program and a
     pre-simulated golden per-net waveform matrix, skipping the
     corresponding pipeline stages here.  ``repro bench --gates`` uses
-    this to time the compile/golden/grade phases separately, and the
-    process pool (:mod:`repro.parallel.gatework`) to compile and
-    simulate once per worker however many slices it grades.
+    this to time the compile/golden/grade phases separately.
     """
     tel = get_telemetry()
     engine = resolve_engine(engine)

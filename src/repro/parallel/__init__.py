@@ -1,7 +1,7 @@
 """Parallel execution layer for fault-simulation campaigns.
 
 The paper's experiment grids are embarrassingly parallel — every
-(design, generator, length) session and every slice of a gate-level
+(design, generator, length) session and every shard of a gate-level
 fault universe is independent.  This package supplies the substrate:
 
 * :mod:`~repro.parallel.pool` — order-preserving process-pool map with
@@ -12,7 +12,7 @@ fault universe is independent.  This package supplies the substrate:
 * :mod:`~repro.parallel.sweep` — design x generator coverage grids
   (the CLI's ``repro sweep`` / ``repro bench``);
 * :mod:`~repro.parallel.gatework` — exact gate-level grading, one
-  fault-schedule slice per worker.
+  shard (:mod:`repro.gates.shards`) per worker.
 """
 
 from .gatework import gate_level_missed_parallel

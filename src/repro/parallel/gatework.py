@@ -2,24 +2,21 @@
 
 A full-universe cross-validation grades tens of thousands of faults
 against one shared netlist and input sequence.  This module fans that
-work out across the process pool as one contiguous slice of the
-cone-aware schedule (:func:`repro.gates.faults.schedule_fault_batches`)
-per worker: the (netlist, inputs, scheduled faults) payload ships once
-per worker through the pool initializer, tasks are bare slice bounds,
-and verdicts come back as boolean arrays.  Each worker compiles the
-netlist program and simulates the golden machine once, then grades its
-slice with the same function as in-process grading,
-:func:`repro.gates.fault_parallel.gate_level_missed` — iterative
-deepening, cone batching and fault dropping included.  One slice per
-worker keeps the per-call set-up (the lane-word expansion of the golden
-waveforms) to once per worker.
+work out across the process pool as one shard per worker
+(:mod:`repro.gates.shards`): :func:`plan_shards` packs whole cone
+batches into at most one shard per worker, the (netlist, inputs,
+faults) payload ships once per worker through the pool initializer,
+tasks are bare shards, and each worker grades its shard with
+:func:`grade_shard` — the same unit the service and the cluster
+coordinator dispatch.  :func:`merge_shard_results` folds the results
+back and refuses overlaps, gaps and disagreeing duplicates.
 
-A worker crash or timeout falls back to the parent-side serial engine,
-so the result is always the exact missed-fault list.
+A worker crash or timeout falls back to grading the unfinished shards
+in the parent, so the result is always the exact missed-fault list.
 
 When telemetry is enabled the pool propagates the trace into each
 worker (see :mod:`repro.telemetry.propagate`): the ``gates.fault_parallel``
-span (and its ``gates.fault_batch`` children) a worker's slice emits
+span (and its ``gates.fault_batch`` children) a worker's shard emits
 merges back under the dispatching ``gates.fault_pool`` span, so pooled
 and serial-fallback runs produce identically shaped span trees — the
 only difference is the ``pid`` on the worker spans.
@@ -27,17 +24,15 @@ only difference is the ``pid`` on the worker spans.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..errors import SimulationError
-from ..gates.compiled import compiled_program, golden_net_waves
-from ..gates.fault_parallel import (DEFAULT_WORDS, gate_level_missed,
-                                    resolve_engine)
-from ..gates.faults import EnumeratedFault, schedule_fault_batches
-from ..gates.gatesim import pack_input_bits
+from ..gates.fault_parallel import DEFAULT_WORDS, resolve_engine
+from ..gates.faults import EnumeratedFault
 from ..gates.netlist import GateNetlist
+from ..gates.shards import Shard, grade_shard, merge_shard_results, plan_shards
 from ..telemetry import get_telemetry
 from .pool import parallel_map, resolve_jobs
 
@@ -50,34 +45,17 @@ _GATE_STATE: Dict[str, Any] = {}
 def _init_gate_worker(nl: GateNetlist, raw: np.ndarray,
                       faults: Sequence[EnumeratedFault]) -> None:
     _GATE_STATE["payload"] = (nl, raw, faults)
-    _GATE_STATE.pop("compiled", None)
 
 
-def _compile(nl: GateNetlist, raw: np.ndarray) -> Tuple:
-    """(program, golden per-net waves) for one netlist and stimulus."""
-    prog = compiled_program(nl)
-    return prog, golden_net_waves(prog,
-                                  pack_input_bits(raw, len(nl.input_bits)))
+def _grade(nl: GateNetlist, raw: np.ndarray,
+           faults: Sequence[EnumeratedFault], shard: Shard) -> Dict[str, Any]:
+    result = grade_shard(nl, raw, faults, shard.indices, len(faults))
+    result["shard"] = shard.shard_id
+    return result
 
 
-def _grade_slice(nl: GateNetlist, raw: np.ndarray,
-                 faults: Sequence[EnumeratedFault],
-                 compiled: Tuple) -> np.ndarray:
-    """Detection verdicts for ``faults``, graded by gate_level_missed."""
-    prog, waves = compiled
-    detect = np.full(len(faults), -1, dtype=np.int64)
-    gate_level_missed(nl, raw, faults, detect_times=detect,
-                      program=prog, net_waves=waves)
-    return detect >= 0
-
-
-def _grade_worker_slice(bounds: Tuple[int, int]) -> np.ndarray:
-    nl, raw, faults = _GATE_STATE["payload"]
-    compiled = _GATE_STATE.get("compiled")
-    if compiled is None:
-        compiled = _GATE_STATE["compiled"] = _compile(nl, raw)
-    start, stop = bounds
-    return _grade_slice(nl, raw, faults[start:stop], compiled)
+def _grade_worker_shard(shard: Shard) -> Dict[str, Any]:
+    return _grade(*_GATE_STATE["payload"], shard)
 
 
 def gate_level_missed_parallel(
@@ -90,7 +68,7 @@ def gate_level_missed_parallel(
     progress: Optional[Callable[[int, int], None]] = None,
     engine: Optional[str] = None,
 ) -> List[EnumeratedFault]:
-    """Exact missed-fault list, one schedule slice per worker.
+    """Exact missed-fault list, one shard per worker.
 
     Drop-in parallel counterpart of
     :func:`repro.gates.fault_parallel.gate_level_missed`; identical
@@ -102,41 +80,34 @@ def gate_level_missed_parallel(
             "the gate-grading process pool supports only the 'event' "
             "engine; grade in-process for the 'reference' oracle")
     faults = list(faults)
+    n = len(faults)
     tel = get_telemetry()
-    with tel.span("gates.fault_parallel_pool", faults=len(faults),
+    with tel.span("gates.fault_parallel_pool", faults=n,
                   vectors=len(input_raw), jobs=jobs) as span:
         raw = np.asarray(input_raw, dtype=np.int64)
-        # Cone-aware schedule: grade in locality order, then scatter the
-        # verdicts back so results are independent of the schedule.
-        order = [i for batch in schedule_fault_batches(
-            faults, 64 * DEFAULT_WORDS) for i in batch]
-        scheduled = [faults[i] for i in order]
-        n_slices = max(1, min(resolve_jobs(jobs), len(faults)))
-        cuts = [len(faults) * k // n_slices for k in range(n_slices + 1)]
-        slices = list(zip(cuts[:-1], cuts[1:]))
+        # Cone batches are full except the last, so shards of
+        # ceil(n / (jobs * batch)) whole batches number at most ``jobs``.
+        batch = 64 * DEFAULT_WORDS
+        per_shard = max(1, -(-n // (resolve_jobs(jobs) * batch))) * batch
+        shards = plan_shards(faults, max_faults=per_shard, batch_size=batch)
+        results = parallel_map(
+            _grade_worker_shard, shards, jobs=jobs, timeout=timeout,
+            initializer=_init_gate_worker, initargs=(nl, raw, faults),
+            serial_fallback=lambda chunk: [_grade(nl, raw, faults, s)
+                                           for s in chunk],
+            label="gates.fault_pool")
+        merged = merge_shard_results(n, results, test_length=len(raw))
 
-        def _serial(chunk: Sequence[Tuple[int, int]]) -> List[np.ndarray]:
-            compiled = _compile(nl, raw)
-            return [_grade_slice(nl, raw, scheduled[start:stop], compiled)
-                    for start, stop in chunk]
-
-        verdict_blocks = parallel_map(
-            _grade_worker_slice, slices, jobs=jobs, timeout=timeout,
-            initializer=_init_gate_worker,
-            initargs=(nl, raw, scheduled),
-            serial_fallback=_serial, label="gates.fault_pool")
-
-        verdicts = np.zeros(len(faults), dtype=bool)
-        for (start, stop), block in zip(slices, verdict_blocks):
-            verdicts[order[start:stop]] = block
+        done = detected = 0
+        for result in results:
+            done += result["faults"]
+            detected += sum(result["detected"])
             if tel.enabled:
-                tel.progress("gates.grade", stop, len(faults),
-                             detected=int(verdicts.sum()),
-                             coverage=float(verdicts.sum())
-                             / max(1, len(faults)))
+                tel.progress("gates.grade", done, n, detected=detected,
+                             coverage=detected / max(1, n))
             if progress is not None:
-                progress(stop, len(faults))
-        missed = [f for f, hit in zip(faults, verdicts) if not hit]
+                progress(done, n)
+        missed = [faults[i] for i in merged.missed_indices]
     if tel.enabled and span.duration > 0:
-        tel.gauge("gates.faults_per_sec").set(len(faults) / span.duration)
+        tel.gauge("gates.faults_per_sec").set(n / span.duration)
     return missed

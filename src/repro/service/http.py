@@ -12,7 +12,7 @@ Routes
                                 serious-fault | gate-grade | recommend |
                                 grade-shard — the cluster coordinator's
                                 unit of dispatch, see
-                                :mod:`repro.cluster`)
+                                :mod:`repro.gates.shards`)
 ``GET    /v1/jobs/{id}``        poll; ``?wait=SECONDS`` long-polls
 ``GET    /v1/jobs/{id}/result`` the result document alone
 ``DELETE /v1/jobs/{id}``        cancel a queued job

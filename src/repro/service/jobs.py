@@ -37,13 +37,14 @@ __all__ = ["Job", "JobState", "JobStore", "JOB_KINDS", "BATCHABLE_KINDS",
 #: Request kinds the service evaluates (ISSUE terminology: spectrum
 #: ranking per Table 3 is ``rank``, fault grading per Tables 4-5 is
 #: ``grade``, serious-fault checks per Figures 2-3 are ``serious-fault``;
-#: ``gate-grade`` is the exact gate-level grader, the long-running kind
-#: whose per-batch progress shows up live on the job document;
+#: ``gate-grade`` is the exact gate-level grader (one shard over the
+#: whole universe), the long-running kind whose per-batch progress
+#: shows up live on the job document;
 #: ``recommend`` answers "best generator for this design" from the
 #: analytic predictor, gate-grading only the top-k candidates;
-#: ``grade-shard`` is one cluster shard of exact gate-level grading —
-#: explicit global fault indices in, per-index verdicts + detection
-#: times + a MISR signature partial out (see :mod:`repro.cluster`).
+#: ``grade-shard`` is one shard of exact gate-level grading — explicit
+#: global fault indices in, per-index verdicts + detection times + a
+#: MISR signature partial out (see :mod:`repro.gates.shards`).
 JOB_KINDS = ("rank", "grade", "spectrum", "serious-fault", "gate-grade",
              "recommend", "grade-shard")
 
@@ -128,20 +129,6 @@ def _index_list(params: Dict[str, Any], name: str,
     return out
 
 
-def _engine_param(params: Dict[str, Any]) -> str:
-    """The cone evaluator tier a gate-grading job runs (canonical
-    spelling; empty/missing means the executing worker's default)."""
-    raw = params.pop("engine", "")
-    if raw in ("", None):
-        return ""
-    from ..gates import resolve_engine
-
-    try:
-        return resolve_engine(str(raw))
-    except Exception as exc:
-        raise ServiceError(str(exc), status=400) from None
-
-
 def _trace_param(params: Dict[str, Any]) -> Optional[Dict[str, Any]]:
     """An optional ``{"trace_id": ..., "span_id": ...}`` dict naming
     where the shard's spans hang in the *coordinator's* trace."""
@@ -206,7 +193,6 @@ def canonical_params(kind: str, params: Optional[Dict[str, Any]]
                                        MIN_MISR_WIDTH, MAX_MISR_WIDTH)
         # 0 = the engine's default time-chunk length.
         out["chunk"] = _int_param(params, "chunk", 0, 0, MAX_VECTORS)
-        out["engine"] = _engine_param(params)
         out["indices"] = _index_list(params, "indices", out["total"])
         trace = _trace_param(params)
         if trace is not None:

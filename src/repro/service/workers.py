@@ -81,6 +81,58 @@ def _spectrum_result(params: Dict[str, Any], gen, freqs, power
     }
 
 
+def _grade_gates(ctx, kind: str, params: Dict[str, Any]) -> Dict[str, Any]:
+    """Both exact gate-grading kinds, one shard each.
+
+    ``gate-grade`` is the one-shard ``grade-shard`` over the whole
+    (``faults``-capped) universe, reported as a coverage summary;
+    ``grade-shard`` grades the coordinator's indices and returns the
+    shard result its merge consumes.
+    """
+    from ..gates.shards import gate_grading_inputs, grade_shard
+
+    _design, nl, faults, raw = gate_grading_inputs(
+        ctx, params["design"], params["generator"], params["vectors"],
+        params["width"], faults_limit=params.get("faults", 0))
+    echo = {name: params[name]
+            for name in ("design", "generator", "vectors", "width")}
+    if kind == "gate-grade":
+        doc = grade_shard(nl, raw, faults, range(len(faults)), len(faults),
+                          cache=ctx.cache)
+        detected = sum(doc["detected"])
+        return dict(echo, fault_count=len(faults), detected=detected,
+                    missed=len(faults) - detected,
+                    coverage=detected / max(1, len(faults)))
+    for i in params["indices"]:
+        if i >= len(faults):
+            raise ServiceError(
+                f"fault index {i} out of range for design "
+                f"{params['design']} ({len(faults)} faults)", status=400)
+    trace = params.get("trace")
+    ctx_trace = (TraceContext(trace["trace_id"], trace.get("span_id"))
+                 if trace else None)
+    # The shard runs under a *nested* child collector joined to the
+    # coordinator's trace; its payload rides home inside the result so
+    # a multi-node sweep grafts into one span tree.  Progress is
+    # forwarded to the service collector so the job document (which the
+    # coordinator polls) still updates live.
+    outer = get_telemetry()
+
+    def _forward(state) -> None:
+        if outer.enabled:
+            outer.progress(state.name, state.done, state.total,
+                           **state.fields)
+
+    with child_collector(ctx_trace, on_progress=_forward) as handle:
+        doc = grade_shard(nl, raw, faults, params["indices"],
+                          params["total"], misr_width=params["misr_width"],
+                          cache=ctx.cache, chunk=params["chunk"] or None)
+    doc.update(echo, total=params["total"], misr_width=params["misr_width"])
+    if handle.payload is not None:
+        doc["trace"] = handle.payload
+    return doc
+
+
 def execute_job(ctx, kind: str, params: Dict[str, Any]) -> Dict[str, Any]:
     """Evaluate one request against the library — the reference path.
 
@@ -111,85 +163,8 @@ def execute_job(ctx, kind: str, params: Dict[str, Any]) -> Dict[str, Any]:
         gen = make_generator(params["generator"], params["width"], 4096)
         freqs, power = generator_spectrum(gen)
         return _spectrum_result(params, gen, freqs, power)
-    if kind == "gate-grade":
-        from ..gates import (elaborate, enumerate_cell_faults,
-                             gate_level_missed)
-        from ..generators.base import match_width
-
-        design = ctx.designs[params["design"]]
-        nl = elaborate(design.graph)
-        faults = enumerate_cell_faults(design.graph, nl)
-        if params["faults"]:
-            faults = faults[:params["faults"]]
-        gen = make_generator(params["generator"], params["width"],
-                             params["vectors"])
-        raw = match_width(gen.sequence(params["vectors"]), gen.width,
-                          design.input_fmt.width)
-        missed = gate_level_missed(nl, raw, faults)
-        detected = len(faults) - len(missed)
-        return {
-            "design": params["design"],
-            "generator": params["generator"],
-            "vectors": params["vectors"],
-            "width": params["width"],
-            "fault_count": len(faults),
-            "detected": detected,
-            "missed": len(missed),
-            "coverage": detected / max(1, len(faults)),
-        }
-    if kind == "grade-shard":
-        from ..cluster.shards import grade_shard
-        from ..gates import elaborate, enumerate_cell_faults, resolve_engine
-        from ..generators.base import match_width
-        from ..telemetry import child_collector
-
-        design = ctx.designs[params["design"]]
-        nl = elaborate(design.graph)
-        faults = enumerate_cell_faults(design.graph, nl)
-        for i in params["indices"]:
-            if i >= len(faults):
-                raise ServiceError(
-                    f"fault index {i} out of range for design "
-                    f"{params['design']} ({len(faults)} faults)",
-                    status=400)
-        gen = make_generator(params["generator"], params["width"],
-                             params["vectors"])
-        raw = match_width(gen.sequence(params["vectors"]), gen.width,
-                          design.input_fmt.width)
-        trace = params.get("trace")
-        ctx_trace = (TraceContext(trace["trace_id"], trace.get("span_id"))
-                     if trace else None)
-        # The shard runs under a *nested* child collector joined to the
-        # coordinator's trace; its payload rides home inside the result
-        # so a multi-node sweep grafts into one span tree.  Progress is
-        # forwarded to the service collector so the job document (which
-        # the coordinator polls) still updates live.
-        outer = get_telemetry()
-
-        def _forward(state) -> None:
-            if outer.enabled:
-                outer.progress(state.name, state.done, state.total,
-                               **state.fields)
-
-        with child_collector(ctx_trace, on_progress=_forward) as handle:
-            doc = grade_shard(nl, raw, faults, params["indices"],
-                              params["total"],
-                              misr_width=params["misr_width"],
-                              cache=ctx.cache,
-                              chunk=params["chunk"] or None,
-                              engine=params.get("engine") or None)
-        doc.update({
-            "design": params["design"],
-            "generator": params["generator"],
-            "vectors": params["vectors"],
-            "width": params["width"],
-            "total": params["total"],
-            "misr_width": params["misr_width"],
-            "engine": resolve_engine(params.get("engine") or None),
-        })
-        if handle.payload is not None:
-            doc["trace"] = handle.payload
-        return doc
+    if kind in ("gate-grade", "grade-shard"):
+        return _grade_gates(ctx, kind, params)
     if kind == "recommend":
         from ..schedule import recommend_generator
 
@@ -330,9 +305,6 @@ class WorkerPool:
         #: Currently-running job id -> kind (fleet heartbeats report
         #: these as the worker's inflight set).
         self.running: Dict[str, str] = {}
-        #: Gate-engine tier of the most recent batch that named one —
-        #: the fleet view's per-worker "engine" column.
-        self.last_engine: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -407,9 +379,6 @@ class WorkerPool:
             job.state = JobState.RUNNING
             job.started = now
             self.running[job.id] = job.kind
-            engine = (job.params or {}).get("engine")
-            if engine:
-                self.last_engine = str(engine)
             fut = self._inflight.get(job.cache_key)
             if fut is None and job.cache_key not in leader_futs:
                 leaders.append(job)

@@ -8,6 +8,7 @@ import pytest
 from repro.cluster import run_cluster_sweep
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.errors import ClusterError
+from repro.service.client import ServiceClient
 from repro.service.lifecycle import ServiceConfig
 from repro.service.testing import ServiceThread
 
@@ -41,6 +42,38 @@ class TestFleetSweep:
         assert sum(w["shards"] for w in doc["workers"]) >= report.shards
         assert sum(t["faults"] for t in doc["shard_timings"]
                    if not t["duplicate"]) == 600
+
+    def test_coordinator_and_workers_share_inputs(self, fleet,
+                                                  monkeypatch):
+        """The coordinator and every ``grade-shard`` worker build the
+        universe and stimulus through one ``gate_grading_inputs``, so a
+        global index names the same fault on both sides."""
+        import numpy as np
+
+        import repro.cluster.coordinator as coordinator
+        import repro.gates.shards as unit
+
+        build, calls = unit.gate_grading_inputs, []
+
+        def _spy(*args, **kwargs):
+            dsg, nl, faults, raw = build(*args, **kwargs)
+            calls.append(([f.label for f in faults], np.asarray(raw)))
+            return dsg, nl, faults, raw
+
+        monkeypatch.setattr(unit, "gate_grading_inputs", _spy)
+        monkeypatch.setattr(coordinator, "gate_grading_inputs", _spy)
+        a, _b = fleet
+        # A fresh client id: shard idempotency keys are per client, and
+        # the earlier sweeps' shards must not be replayed here.
+        report = run_cluster_sweep(
+            [a.base_url], client_factory=lambda ep: ServiceClient(
+                ep, client_id="shared-inputs", timeout=30.0), **SWEEP)
+        assert report.shards == 2
+        (universe, stimulus), *workers = calls
+        assert len(universe) == 600 and len(workers) == report.shards
+        for labels, raw in workers:
+            assert labels[:len(universe)] == universe
+            assert np.array_equal(raw, stimulus)
 
     def test_dead_worker_is_survived(self, fleet):
         a, _b = fleet

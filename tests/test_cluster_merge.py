@@ -14,17 +14,16 @@ import random
 import numpy as np
 import pytest
 
-from repro.cluster import (
-    MergedGrade,
+from repro.errors import ClusterError
+from repro.gates import (elaborate, enumerate_cell_faults,
+                         gate_level_missed_reference)
+from repro.gates.shards import (
+    coverage_checkpoints,
     grade_shard,
     merge_shard_results,
     plan_shards,
     single_node_grade,
 )
-from repro.cluster.shards import coverage_checkpoints
-from repro.errors import ClusterError
-from repro.gates import (elaborate, enumerate_cell_faults,
-                         gate_level_missed_reference)
 from repro.generators.base import match_width
 from repro.resolve import make_generator
 
@@ -88,26 +87,6 @@ class TestMergeDeterminism:
         results = []
         for shard in shards:
             res = grade_shard(nl, raw, faults, shard.indices, len(faults))
-            res["shard"] = shard.shard_id
-            results.append(res)
-        merged = merge_shard_results(len(faults), results,
-                                     test_length=len(raw))
-        assert merged.identical_to(oracle)
-
-    def test_mixed_engine_fleet_merges_identically(self, lp_universe,
-                                                   oracle):
-        """Shards graded with an explicit ``engine="event"`` and with
-        the worker default merge bit-identically — verdicts, detection
-        times, signature and checkpoints."""
-        nl, raw, faults = lp_universe
-        shards = plan_shards(faults, max_faults=96, batch_size=48)
-        engines = ("event", None)  # None = worker default
-        results = []
-        for shard in shards:
-            res = grade_shard(nl, raw, faults, shard.indices,
-                              len(faults),
-                              engine=engines[shard.shard_id
-                                             % len(engines)])
             res["shard"] = shard.shard_id
             results.append(res)
         merged = merge_shard_results(len(faults), results,

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.bist.misr import Misr
-from repro.cluster.signature import (
+from repro.gates.signature import (
     combine_partials,
     mat_mul,
     mat_vec,

@@ -143,7 +143,7 @@ class TestEngineEquivalence:
                                                   bins=8))
 
     def test_engines_verdicts_times_and_signatures(self, rng):
-        from repro.cluster.signature import stream_signature
+        from repro.gates.signature import stream_signature
 
         for trial in range(2):
             design = _random_design(rng, f"eng-{trial}")
@@ -178,7 +178,7 @@ class TestEngineEquivalence:
     def test_partial_misr_signatures_merge_identically(self, rng):
         """Sharded partial signatures over the detection times of each
         word width combine to the same full-stream MISR signature."""
-        from repro.cluster.signature import (combine_partials,
+        from repro.gates.signature import (combine_partials,
                                              shard_signature_partial,
                                              stream_signature)
 

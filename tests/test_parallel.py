@@ -177,7 +177,56 @@ class TestSweep:
         ctx.reset_coverage()
 
 
+@pytest.fixture(scope="module")
+def small_grade():
+    """The small design's universe (3,326 faults, not a multiple of the
+    512-fault cone batch) on a short LFSR stimulus, plus its exact
+    in-process missed-fault labels."""
+    from repro.gates.fault_parallel import gate_level_missed
+    from repro.gates.faults import enumerate_cell_faults
+    from repro.gates.netlist import elaborate
+    from repro.generators import Type1Lfsr
+
+    design = build_small_design()
+    nl = elaborate(design.graph)
+    faults = enumerate_cell_faults(design.graph, nl)
+    raw = Type1Lfsr(design.input_fmt.width).sequence(48)
+    expect = [f.label for f in gate_level_missed(nl, raw, faults)]
+    return nl, raw, faults, expect
+
+
 class TestGatework:
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_at_most_one_shard_per_worker(self, small_grade, monkeypatch,
+                                          jobs):
+        import repro.parallel.gatework as gatework
+
+        nl, raw, faults, expect = small_grade
+        assert len(faults) % 512
+        plan, planned = gatework.plan_shards, []
+
+        def _spy(*args, **kwargs):
+            planned.append(plan(*args, **kwargs))
+            return planned[-1]
+
+        monkeypatch.setattr(gatework, "plan_shards", _spy)
+        got = gate_level_missed_parallel(nl, raw, faults, jobs=jobs)
+        (shards,) = planned
+        assert 1 < len(shards) <= jobs
+        assert [f.label for f in got] == expect
+
+    def test_serial_fallback_when_pool_cannot_start(self, small_grade,
+                                                    monkeypatch):
+        import repro.parallel.pool as pool
+
+        def _no_pool(*args, **kwargs):
+            raise OSError("process pools are unavailable")
+
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", _no_pool)
+        nl, raw, faults, expect = small_grade
+        got = gate_level_missed_parallel(nl, raw, faults, jobs=2)
+        assert [f.label for f in got] == expect
+
     def test_matches_serial_engine(self, small_design):
         from repro.gates.fault_parallel import gate_level_missed
         from repro.gates.faults import enumerate_cell_faults

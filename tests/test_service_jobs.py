@@ -60,18 +60,14 @@ class TestCanonicalParams:
         with pytest.raises(ReproError):
             canonical_params("rank", {"design": "XXL"})
 
-    def test_grade_shard_engine_canonicalizes(self):
+    def test_grade_shard_rejects_engine(self):
+        """A shard is always graded by the event engine: ``engine`` is
+        an unknown parameter, whatever its value."""
         base = {"total": 100, "indices": [0, 1, 2]}
-        # Empty/missing means "worker's default" and stays empty.
-        assert canonical_params("grade-shard", dict(base))["engine"] == ""
-        assert canonical_params(
-            "grade-shard", dict(base, engine=""))["engine"] == ""
-        for name in ("event", "reference"):
-            got = canonical_params("grade-shard",
-                                   dict(base, engine=name))
-            assert got["engine"] == name
-        for name in ("word", "warp"):
-            with pytest.raises(ServiceError) as err:
+        assert "engine" not in canonical_params("grade-shard", dict(base))
+        for name in ("", "event", "reference"):
+            with pytest.raises(ServiceError,
+                               match="unknown parameter") as err:
                 canonical_params("grade-shard", dict(base, engine=name))
             assert err.value.status == 400
 
@@ -179,3 +175,35 @@ class TestJobSnapshot:
         job.finish(JobState.FAILED, clock(), error="exploded")
         doc = job.to_dict()
         assert doc["error"] == "exploded" and "result" not in doc
+
+
+class TestGateGradeExecution:
+    def test_gate_grade_matches_direct_grade(self, ctx):
+        """``gate-grade`` runs as a one-shard ``grade-shard``; its
+        verdict counts equal a direct in-process grade of the same
+        universe prefix and stimulus."""
+        from repro.gates import (elaborate, enumerate_cell_faults,
+                                 gate_level_missed)
+        from repro.generators.base import match_width
+        from repro.resolve import make_generator
+        from repro.service.workers import execute_job
+
+        params = canonical_params("gate-grade", {"design": "LP",
+                                                 "vectors": 64,
+                                                 "faults": 300})
+        doc = execute_job(ctx, "gate-grade", params)
+
+        design = ctx.designs["LP"]
+        nl = elaborate(design.graph)
+        faults = enumerate_cell_faults(design.graph, nl)[:300]
+        gen = make_generator("lfsr1", 12, 64)
+        raw = match_width(gen.sequence(64), gen.width,
+                          design.input_fmt.width)
+        missed = gate_level_missed(nl, raw, faults)
+        assert doc == {
+            "design": "LP", "generator": "lfsr1", "vectors": 64,
+            "width": 12, "fault_count": 300,
+            "detected": 300 - len(missed), "missed": len(missed),
+            "coverage": (300 - len(missed)) / 300,
+        }
+        assert 0 < len(missed) < 300
