@@ -17,7 +17,7 @@ power happens to concentrate inside the passband.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -85,7 +85,11 @@ def compatibility_ratio(
     freqs: np.ndarray, gen_power: np.ndarray, h: np.ndarray
 ) -> Tuple[float, float]:
     """(sigma_y^2, flat-reference sigma_y^2) for a generator spectrum."""
-    gain = _filter_gain_on(freqs, h)
+    return _ratio_terms(gen_power, _filter_gain_on(freqs, h))
+
+
+def _ratio_terms(gen_power: np.ndarray, gain: np.ndarray
+                 ) -> Tuple[float, float]:
     sigma_y2 = float(np.mean(gen_power * gain))
     total_power = float(np.mean(gen_power))
     flat = total_power * float(np.mean(gain))
@@ -140,10 +144,16 @@ def compatibility_table(
     realized coefficients of a design work directly).
     """
     results: List[CompatibilityResult] = []
+    # |H|^2 per filter, once per distinct frequency grid: generators of
+    # one width share an rfftfreq grid.
+    gains: Dict[bytes, List[np.ndarray]] = {}
     for gen in generators:
         freqs, power = generator_spectrum(gen)
-        for name, h in filters:
-            sigma_y2, flat = compatibility_ratio(freqs, power, h)
+        grid = freqs.tobytes()
+        if grid not in gains:
+            gains[grid] = [_filter_gain_on(freqs, h) for _name, h in filters]
+        for (name, _h), gain in zip(filters, gains[grid]):
+            sigma_y2, flat = _ratio_terms(power, gain)
             results.append(
                 CompatibilityResult(
                     generator=gen.name, filter_name=name,

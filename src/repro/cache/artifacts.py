@@ -4,12 +4,15 @@ Four artifact kinds flow through the store (plus the design documents
 the sweep workers rehydrate from):
 
 ``universe``
-    A :class:`~repro.faultsim.dictionary.FaultUniverse`.  Cells carry
-    their operator width and add/sub polarity so faults rebuild through
-    :func:`~repro.gates.cells.variant_for_bit` — the decoded universe is
-    object-identical in content to a fresh
-    :func:`~repro.faultsim.dictionary.build_fault_universe` run, without
-    re-running the structural-feasibility analysis.
+    A :class:`~repro.faultsim.dictionary.FaultUniverse`, stored as its
+    columns: per fault its cell row, its slot in that cell's variant and
+    its detecting mask.  Cells carry their operator width and add/sub
+    polarity, so decoding is array loads plus one
+    :func:`~repro.gates.cells.variant_for_bit` call per cell (not per
+    fault).  The decoded universe equals a fresh
+    :func:`~repro.faultsim.dictionary.build_fault_universe` run, column
+    for column and fault object for fault object, without re-running
+    the structural-feasibility analysis.
 ``netlist``
     A flat :class:`~repro.gates.netlist.GateNetlist` (elaboration
     output), numeric bulk as arrays and the fault-site map as JSON.
@@ -30,7 +33,7 @@ from typing import Any, Dict, List, Tuple
 import numpy as np
 
 from ..errors import CacheError
-from ..faultsim.dictionary import DesignFault, FaultUniverse
+from ..faultsim.dictionary import FaultUniverse
 from ..gates.cells import variant_for_bit
 from ..gates.netlist import Dff, Gate, GateNetlist, GateRef
 from ..rtl.nodes import OpKind
@@ -56,39 +59,20 @@ def encode_universe(graph, universe: FaultUniverse) -> Tuple[Arrays, Meta]:
     """Pack a universe built from ``graph`` into flat arrays."""
     node_info = {n.nid: (n.fmt.width, n.kind is OpKind.SUB)
                  for n in graph.arithmetic_nodes}
-    cell_node = np.array([nid for nid, _bit in universe.cells],
-                        dtype=np.int64)
-    cell_bit = np.array([bit for _nid, bit in universe.cells],
-                        dtype=np.int64)
-    cell_width = np.empty(len(universe.cells), dtype=np.int64)
-    cell_is_sub = np.empty(len(universe.cells), dtype=np.bool_)
-    # Fault name -> slot in its cell's variant: one map per variant kind.
-    slot_maps: Dict[str, Dict[str, int]] = {}
-    cell_slots = []
-    for row, (nid, bit) in enumerate(universe.cells):
-        try:
-            width, is_sub = node_info[nid]
-        except KeyError:
-            raise CacheError(
-                f"universe cell references node {nid} absent from graph")
-        cell_width[row] = width
-        cell_is_sub[row] = is_sub
-        variant = variant_for_bit(bit, width, is_sub)
-        if variant.kind not in slot_maps:
-            slot_maps[variant.kind] = {
-                cf.name: s for s, cf in enumerate(variant.faults)}
-        cell_slots.append(slot_maps[variant.kind])
-    fault_slot = np.fromiter(
-        (cell_slots[row][fault.cell_fault.name] for row, fault
-         in zip(universe.fault_cell.tolist(), universe.faults)),
-        dtype=np.int64, count=universe.fault_count)
+    try:
+        info = [node_info[nid] for nid, _bit in universe.cells]
+    except KeyError as exc:
+        raise CacheError(
+            f"universe cell references node {exc.args[0]} absent from graph")
     arrays = {
-        "cell_node": cell_node,
-        "cell_bit": cell_bit,
-        "cell_width": cell_width,
-        "cell_is_sub": cell_is_sub,
+        "cell_node": np.array([nid for nid, _bit in universe.cells],
+                              dtype=np.int64),
+        "cell_bit": np.array([bit for _nid, bit in universe.cells],
+                             dtype=np.int64),
+        "cell_width": np.array([w for w, _sub in info], dtype=np.int64),
+        "cell_is_sub": np.array([sub for _w, sub in info], dtype=np.bool_),
         "fault_cell": universe.fault_cell.astype(np.int64),
-        "fault_slot": fault_slot,
+        "fault_slot": universe.fault_slot.astype(np.int64),
         "fault_mask": universe.fault_mask.astype(np.uint8),
     }
     meta = {
@@ -101,37 +85,24 @@ def encode_universe(graph, universe: FaultUniverse) -> Tuple[Arrays, Meta]:
 
 
 def decode_universe(arrays: Arrays, meta: Meta) -> FaultUniverse:
-    cell_node = arrays["cell_node"]
-    cell_bit = arrays["cell_bit"]
-    cell_width = arrays["cell_width"]
-    cell_is_sub = arrays["cell_is_sub"]
-    cells = [(int(n), int(b)) for n, b in zip(cell_node, cell_bit)]
-    cell_index = {cb: row for row, cb in enumerate(cells)}
+    cell_bit = arrays["cell_bit"].tolist()
+    cell_faults = [
+        variant_for_bit(bit, width, is_sub).faults
+        for bit, width, is_sub in zip(cell_bit, arrays["cell_width"].tolist(),
+                                      arrays["cell_is_sub"].tolist())]
     fault_cell = arrays["fault_cell"].astype(np.int64)
-    fault_slot = arrays["fault_slot"]
-    fault_mask = arrays["fault_mask"].astype(np.uint8)
-    faults: List[DesignFault] = []
-    for i in range(len(fault_cell)):
-        row = int(fault_cell[i])
-        variant = variant_for_bit(int(cell_bit[row]), int(cell_width[row]),
-                                  bool(cell_is_sub[row]))
-        cf = variant.faults[int(fault_slot[i])]
-        faults.append(DesignFault(
-            index=i, node_id=int(cell_node[row]), bit=int(cell_bit[row]),
-            cell_fault=cf, effective_mask=int(fault_mask[i])))
-    universe = FaultUniverse(
+    if len(fault_cell) != int(meta["fault_count"]):
+        raise CacheError("decoded universe fault count mismatch")
+    return FaultUniverse(
         design_name=str(meta["design_name"]),
-        faults=faults,
-        cells=cells,
-        cell_index=cell_index,
+        cells=list(zip(arrays["cell_node"].tolist(), cell_bit)),
+        cell_faults=cell_faults,
         fault_cell=fault_cell,
-        fault_mask=fault_mask,
+        fault_slot=arrays["fault_slot"].astype(np.int64),
+        fault_mask=arrays["fault_mask"].astype(np.uint8),
         uncollapsed_count=int(meta["uncollapsed_count"]),
         untestable_count=int(meta["untestable_count"]),
     )
-    if universe.fault_count != int(meta["fault_count"]):
-        raise CacheError("decoded universe fault count mismatch")
-    return universe
 
 
 # ----------------------------------------------------------------------

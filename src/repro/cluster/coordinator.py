@@ -42,7 +42,8 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+import uuid
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..errors import ClusterError
@@ -194,6 +195,9 @@ class ClusterCoordinator:
                 ep, client_id=f"cluster-{os.getpid()}",
                 timeout=max(30.0, poll + 10.0), retries=3))
         self._rng = random.Random(0x5EED)
+        # Workers scope idempotency keys per client only; the run id
+        # keeps a later sweep's shards from replaying this sweep's jobs.
+        self.run_id = uuid.uuid4().hex[:12]
 
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
@@ -343,7 +347,8 @@ class ClusterCoordinator:
                                "span_id": ctx.span_id}
         job = client.submit(
             "grade-shard", params,
-            idempotency_key=f"shard-{shard.shard_id}-a{task.attempt}")
+            idempotency_key=(f"{self.run_id}-shard-{shard.shard_id}"
+                             f"-a{task.attempt}"))
         job_id = job["id"]
         t0 = time.monotonic()
         try:

@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..analysis.compatibility import classify_ratio, compatibility_ratio
-from ..analysis.spectrum import generator_spectrum
+from ..analysis.compatibility import compatibility_table
 from ..analysis.testzones import difficult_test_table
 from ..filters.stats import design_statistics
 from ..telemetry import traced
@@ -146,17 +145,13 @@ def table3(ctx: Optional[ExperimentContext] = None) -> TableResult:
     gens = ctx.spectrum_generators()
     order = ["LFSR-1", "LFSR-2", "LFSR-D", "LFSR-M", "Ramp"]
     headers = ["generator", "LP", "BP", "HP"]
-    rows = []
-    for gname in order:
-        gen = gens[gname]
-        freqs, power = generator_spectrum(gen)
-        cells = [gname]
-        for dname in DESIGN_ORDER:
-            h = ctx.designs[dname].coefficients
-            sigma_y2, flat = compatibility_ratio(freqs, power, h)
-            ratio = sigma_y2 / flat
-            cells.append(f"{classify_ratio(ratio)} ({ratio:.2f})")
-        rows.append(cells)
+    results = compatibility_table(
+        [gens[g] for g in order],
+        [(d, ctx.designs[d].coefficients) for d in DESIGN_ORDER])
+    k = len(DESIGN_ORDER)
+    rows = [[gname, *(f"{r.rating} ({r.ratio:.2f})"
+                      for r in results[i * k:(i + 1) * k])]
+            for i, gname in enumerate(order)]
     paper_rows = [[g, *PAPER_TABLE3[g]] for g in order]
     return TableResult(
         name="Table 3: frequency-domain compatibility (rating and ratio)",

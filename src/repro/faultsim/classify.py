@@ -62,6 +62,17 @@ def _normal_operation_tracker(
     return track_patterns(design.graph, universe, raw)
 
 
+def _activatable(universe: FaultUniverse, seen: np.ndarray) -> np.ndarray:
+    """Per fault: its cell saw one of the class's detecting patterns.
+
+    ``seen`` is a tracker's ``(cells, 8)`` seen mask.  The class's full
+    ``detect_mask`` counts, not the feasibility-pruned one.
+    """
+    detect = universe.cell_fault_column(lambda cf: cf.detect_mask)
+    patterns = ((detect[:, None] >> np.arange(8)) & 1) != 0
+    return np.any(seen[universe.fault_cell] & patterns, axis=1)
+
+
 def classify_missed_faults(
     design: FilterDesign,
     result: CoverageResult,
@@ -80,17 +91,11 @@ def classify_missed_faults(
     missed = result.missed_faults(at)
     tracker = _normal_operation_tracker(design, result.universe, stimulus,
                                         n_vectors)
-    seen = tracker.seen_mask()
+    active = _activatable(result.universe, tracker.seen_mask())
     difficult: List[DesignFault] = []
     near_redundant: List[DesignFault] = []
     for fault in missed:
-        cell = result.universe.fault_cell[fault.index]
-        mask = fault.cell_fault.detect_mask
-        patterns = [p for p in range(8) if mask & (1 << p)]
-        if any(seen[cell, p] for p in patterns):
-            difficult.append(fault)
-        else:
-            near_redundant.append(fault)
+        (difficult if active[fault.index] else near_redundant).append(fault)
     return MissClassification(
         difficult=difficult,
         near_redundant=near_redundant,
@@ -111,11 +116,4 @@ def activation_counts(
     proposes reaching 100% coverage on.
     """
     tracker = _normal_operation_tracker(design, universe, stimulus, n_vectors)
-    seen = tracker.seen_mask()
-    out = np.zeros(universe.fault_count, dtype=np.uint8)
-    for fault in universe.faults:
-        cell = universe.fault_cell[fault.index]
-        mask = fault.cell_fault.detect_mask
-        if any(seen[cell, p] for p in range(8) if mask & (1 << p)):
-            out[fault.index] = 1
-    return out
+    return _activatable(universe, tracker.seen_mask()).astype(np.uint8)

@@ -18,7 +18,7 @@ model is validated against).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,7 +66,7 @@ class CoverageResult:
         """The undetected fault objects (for localization reports)."""
         limit = self.n_vectors if at is None else at
         idx = np.nonzero(self.detect_time >= limit)[0]
-        return [self.universe.faults[i] for i in idx]
+        return [self.universe.fault(int(i)) for i in idx]
 
     # ------------------------------------------------------------------
     # Curves
@@ -157,11 +157,15 @@ def coverage_from_detect_times(
 def _record_detection_latencies(tel, result: CoverageResult) -> None:
     """Per-fault-class detection-latency histograms (telemetry on only)."""
     detect = result.detect_time
-    classes = np.array([f.cell_fault.name for f in result.universe.faults])
-    for cls in np.unique(classes):
-        times = detect[(classes == cls) & (detect != UNSEEN)]
+    # One integer code per class name, shared across cell variants.
+    codes: Dict[str, int] = {}
+    fault_code = result.universe.cell_fault_column(
+        lambda cf: codes.setdefault(cf.name, len(codes)))
+    seen = detect != UNSEEN
+    for name in sorted(codes):
+        times = detect[(fault_code == codes[name]) & seen]
         if times.size:
-            tel.histogram(f"faultsim.detect_latency.{cls}",
+            tel.histogram(f"faultsim.detect_latency.{name}",
                           edges=LATENCY_EDGES).observe_many(times + 1)
 
 

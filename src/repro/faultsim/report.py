@@ -5,6 +5,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import List, Optional
 
+import numpy as np
+
 from .engine import CoverageResult
 
 __all__ = ["coverage_summary", "missed_fault_map", "testability_report"]
@@ -60,7 +62,11 @@ def testability_report(design, result: CoverageResult, model=None,
     filter designer would act on.
     """
     missed_by_node = Counter(f.node_id for f in result.missed_faults(at))
-    total_by_node = Counter(f.node_id for f in result.universe.faults)
+    universe = result.universe
+    cell_node = np.array([nid for nid, _bit in universe.cells],
+                         dtype=np.int64)
+    total_by_node = np.bincount(cell_node[universe.fault_cell],
+                                minlength=len(design.graph.nodes))
     lines = [
         f"testability report: {design.name}, generator "
         f"{result.generator_name}, {at or result.n_vectors} vectors",
@@ -75,7 +81,7 @@ def testability_report(design, result: CoverageResult, model=None,
             return predicted_sigma_at_tap(design, t, model)
     for tap in design.taps:
         ops = tap.operators
-        faults = sum(total_by_node[nid] for nid in ops)
+        faults = int(sum(total_by_node[nid] for nid in ops))
         missed = sum(missed_by_node.get(nid, 0) for nid in ops)
         row = f"{tap.index:4d} {len(ops):4d} {faults:7d} {missed:7d}"
         if sigma_fn is not None and tap.accumulator is not None:

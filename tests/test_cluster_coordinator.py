@@ -8,7 +8,6 @@ import pytest
 from repro.cluster import run_cluster_sweep
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.errors import ClusterError
-from repro.service.client import ServiceClient
 from repro.service.lifecycle import ServiceConfig
 from repro.service.testing import ServiceThread
 
@@ -63,17 +62,27 @@ class TestFleetSweep:
         monkeypatch.setattr(unit, "gate_grading_inputs", _spy)
         monkeypatch.setattr(coordinator, "gate_grading_inputs", _spy)
         a, _b = fleet
-        # A fresh client id: shard idempotency keys are per client, and
-        # the earlier sweeps' shards must not be replayed here.
-        report = run_cluster_sweep(
-            [a.base_url], client_factory=lambda ep: ServiceClient(
-                ep, client_id="shared-inputs", timeout=30.0), **SWEEP)
+        report = run_cluster_sweep([a.base_url], **SWEEP)
         assert report.shards == 2
         (universe, stimulus), *workers = calls
         assert len(universe) == 600 and len(workers) == report.shards
         for labels, raw in workers:
             assert labels[:len(universe)] == universe
             assert np.array_equal(raw, stimulus)
+
+    def test_later_sweep_from_one_process_gets_its_own_results(self, fleet):
+        """Shard idempotency keys carry a per-sweep run id: a second
+        sweep from the same process (same client id) to the same worker,
+        within the job TTL, is graded afresh, not answered with the
+        first sweep's jobs."""
+        a, _b = fleet
+        first = run_cluster_sweep([a.base_url], verify=True, **SWEEP)
+        second = run_cluster_sweep([a.base_url], verify=True,
+                                   **dict(SWEEP, vectors=64))
+        assert first.verified is True and second.verified is True
+        assert first.merged.test_length == 96
+        assert second.merged.test_length == 64
+        assert first.merged.signature != second.merged.signature
 
     def test_dead_worker_is_survived(self, fleet):
         a, _b = fleet

@@ -82,6 +82,24 @@ class TestTables:
         assert grid["Ramp"][0].startswith("+")     # LP compatible
         assert grid["Ramp"][2].startswith("-")     # HP incompatible
 
+    def test_table3_spectra_match_per_cell_ratios(self, ctx):
+        """Table 3 computes each design's |H|^2 once per frequency grid;
+        every cell must equal the per-cell ``compatibility_ratio``."""
+        from repro.analysis import (compatibility_ratio, compatibility_table,
+                                    generator_spectrum)
+
+        gens = list(ctx.spectrum_generators().values())
+        filters = [(d, ctx.designs[d].coefficients)
+                   for d in ("LP", "BP", "HP")]
+        results = iter(compatibility_table(gens, filters))
+        for gen in gens:
+            freqs, power = generator_spectrum(gen)
+            for name, h in filters:
+                r = next(results)
+                assert (r.generator, r.filter_name) == (gen.name, name)
+                assert (r.sigma_y2, r.flat_sigma_y2) == \
+                    compatibility_ratio(freqs, power, h)
+
     def test_table4_against_table5_normalization(self, ctx):
         t4 = table4(ctx)
         t5 = table5(ctx)

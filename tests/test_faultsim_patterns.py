@@ -26,9 +26,9 @@ def _universe(nodes):
     """A fault-free universe holding just the cells of ``nodes``."""
     cells = [(n.nid, bit) for n in nodes for bit in range(n.fmt.width)]
     return FaultUniverse(
-        design_name="cells", faults=[], cells=cells,
-        cell_index={cb: row for row, cb in enumerate(cells)},
+        design_name="cells", cells=cells, cell_faults=[()] * len(cells),
         fault_cell=np.zeros(0, dtype=np.int64),
+        fault_slot=np.zeros(0, dtype=np.int64),
         fault_mask=np.zeros(0, dtype=np.uint8), uncollapsed_count=0)
 
 
