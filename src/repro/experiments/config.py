@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -106,6 +106,7 @@ class ExperimentContext:
         self._universes: Dict[str, FaultUniverse] = {}
         self._netlists: Dict[str, object] = {}
         self._coverage: Dict[Tuple[str, str, int], CoverageResult] = {}
+        self._derived: Dict[str, Any] = {}
 
     @classmethod
     def from_env(cls, config: Optional[ExperimentConfig] = None
@@ -232,11 +233,21 @@ class ExperimentContext:
     def reset_coverage(self) -> None:
         """Forget memoized coverage sessions (benchmarking aid)."""
         self._coverage.clear()
+        self._derived.clear()
 
     def adopt_coverage(self, design_name: str, generator_name: str,
                        n_vectors: int, result: CoverageResult) -> None:
         """Install an externally graded session into the memo table."""
         self._coverage[(design_name, generator_name, n_vectors)] = result
+        self._derived.clear()
+
+    def derived(self, key: str, compute: Callable[[], Any]) -> Any:
+        """``compute()``, run once per context and remembered under
+        ``key``; for results built from coverage sessions, so it is
+        forgotten whenever a session is reset or adopted."""
+        if key not in self._derived:
+            self._derived[key] = compute()
+        return self._derived[key]
 
     def run_grid(self, design_names: Optional[Sequence[str]] = None,
                  generator_keys: Optional[Sequence[str]] = None,

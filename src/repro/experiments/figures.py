@@ -102,8 +102,13 @@ def find_serious_missed_fault(ctx: ExperimentContext) -> SeriousMiss:
     by a difficult test, whose effect shows as a spike train on the sine
     response.  A small frequency/amplitude sweep picks a stimulus that
     excites it repeatedly ("somewhat sensitive to the amplitude and
-    frequency of the sine wave", Section 5).
+    frequency of the sine wave", Section 5).  The search runs once per
+    context; Figures 2 and 3 share it.
     """
+    return ctx.derived("serious_miss", lambda: _search_serious_miss(ctx))
+
+
+def _search_serious_miss(ctx: ExperimentContext) -> SeriousMiss:
     cfg = ctx.config
     design = ctx.designs["LP"]
     result = ctx.coverage("LP", ctx.standard_generators()["LFSR-1"],

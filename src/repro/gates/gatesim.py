@@ -23,6 +23,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import SimulationError
+from ..fixedpoint import wrap
 from ..telemetry import get_telemetry
 from .netlist import GateNetlist
 
@@ -57,8 +58,7 @@ def bits_to_raw(bits: np.ndarray) -> np.ndarray:
     width = bits.shape[0]
     weights = np.array([1 << k for k in range(width)], dtype=np.int64)
     unsigned = (bits.astype(np.int64).T * weights).sum(axis=1)
-    half = 1 << (width - 1)
-    return (unsigned + half) % (1 << width) - half
+    return wrap(unsigned, width)
 
 
 def simulate_netlist(

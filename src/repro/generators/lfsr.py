@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import GeneratorError
+from ..fixedpoint import wrap
 from .base import TestGenerator
 from .polynomials import default_poly, degree
 
@@ -61,9 +62,7 @@ def bit_stream_to_words(bits: np.ndarray, width: int, direction: str) -> np.ndar
     else:
         # Newest bit sits at the word LSB.
         weights = 1 << np.arange(width - 1, -1, -1, dtype=np.int64)
-    unsigned = windows.astype(np.int64) @ weights
-    half = np.int64(1 << (width - 1))
-    return (unsigned + half) % (1 << width) - half
+    return wrap(windows.astype(np.int64) @ weights, width)
 
 
 class FibonacciLfsr(TestGenerator):
@@ -183,11 +182,9 @@ class GaloisLfsr(TestGenerator):
 
     def generate(self, n: int) -> np.ndarray:
         out = np.empty(max(n, 0), dtype=np.int64)
-        half = 1 << (self.width - 1)
-        span = 1 << self.width
         for i in range(n):
-            out[i] = (self._step() + half) % span - half
-        return out
+            out[i] = self._step()
+        return wrap(out, self.width)
 
     def hardware_cost(self):
         taps = bin(self.poly & ((1 << self.width) - 1)).count("1")

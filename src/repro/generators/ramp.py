@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import GeneratorError
+from ..fixedpoint import wrap
 from .base import TestGenerator
 
 __all__ = ["RampGenerator"]
@@ -34,11 +35,9 @@ class RampGenerator(TestGenerator):
         self._count = self.start
 
     def generate(self, n: int) -> np.ndarray:
-        span = 1 << self.width
-        half = 1 << (self.width - 1)
         idx = self._count + self.step * np.arange(n, dtype=np.int64)
         self._count = int(self._count + self.step * n)
-        return (idx + half) % span - half
+        return wrap(idx, self.width)
 
     def hardware_cost(self):
         # An incrementer: one half-adder per stage.

@@ -26,6 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import GeneratorError
+from ..fixedpoint import wrap
 from .base import TestGenerator
 from .lfsr import FibonacciLfsr, GaloisLfsr
 from .polynomials import PAPER_TYPE2_POLY_12
@@ -88,10 +89,7 @@ class DecorrelatedLfsr(TestGenerator):
         flipped = words ^ invert_mask
         # XOR on two's-complement raw values stays in range: only bits
         # 1..width-1 are touched, including the sign bit.
-        half = np.int64(1 << (self.width - 1))
-        span = np.int64(1 << self.width)
-        flipped = (flipped + half) % span - half
-        return np.where(lsb_set, flipped, words)
+        return np.where(lsb_set, wrap(flipped, self.width), words)
 
     def hardware_cost(self):
         base = self._core.hardware_cost()
@@ -151,6 +149,4 @@ class PermutedLfsr(TestGenerator):
         out = np.zeros_like(words)
         for dst, src in enumerate(self.permutation):
             out |= ((words >> src) & 1) << dst
-        half = np.int64(1 << (self.width - 1))
-        span = np.int64(1 << self.width)
-        return (out + half) % span - half
+        return wrap(out, self.width)

@@ -4,11 +4,18 @@ The graph is a DAG over :class:`~repro.rtl.nodes.Node` objects.  Because
 the filters reproduced here are non-recursive (FIR), *no* cycles are
 permitted, not even through registers; this lets the simulator evaluate
 each node over the whole time axis at once with vectorized numpy.
+
+A graph remembers its topological order, consumer lists and a passed
+validation under a structural fingerprint of its nodes, so simulating
+an unchanged design again skips Kahn's algorithm and the format checks.
+Any change to a node's kind, sources, format or shift, or to the node
+list or ports, changes the fingerprint and forces a full recomputation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import DesignError
@@ -27,6 +34,9 @@ _SRC_ARITY = {
     OpKind.OUTPUT: 1,
 }
 
+#: The node attributes that order and validity depend on.
+_STRUCTURE = attrgetter("kind", "srcs", "fmt", "shift")
+
 
 @dataclass
 class Graph:
@@ -36,6 +46,15 @@ class Graph:
     nodes: List[Node] = field(default_factory=list)
     input_id: Optional[int] = None
     output_id: Optional[int] = None
+    # Derived state, valid while ``_memo_key`` matches; see :meth:`_refresh`.
+    _memo_key: Optional[tuple] = field(default=None, init=False,
+                                       repr=False, compare=False)
+    _order: Optional[List[int]] = field(default=None, init=False,
+                                        repr=False, compare=False)
+    _consumers: Optional[List[List[int]]] = field(
+        default=None, init=False, repr=False, compare=False)
+    _valid: bool = field(default=False, init=False, repr=False,
+                         compare=False)
 
     # ------------------------------------------------------------------
     # Construction
@@ -102,13 +121,53 @@ class Graph:
         """Number of DELAY elements."""
         return sum(1 for n in self.nodes if n.kind is OpKind.DELAY)
 
+    def _refresh(self) -> None:
+        """Forget the derived order, consumers and validity if any node
+        or port changed since they were derived."""
+        key = (self.input_id, self.output_id,
+               tuple(map(_STRUCTURE, self.nodes)))
+        if key != self._memo_key:
+            self._memo_key = key
+            self._order = self._consumers = None
+            self._valid = False
+
+    # The two below read the memo as is: public callers _refresh() first.
+    def _consumer_lists(self) -> List[List[int]]:
+        out = self._consumers
+        if out is None:
+            out = [[] for _ in self.nodes]
+            for n in self.nodes:
+                for s in n.srcs:
+                    out[s].append(n.nid)
+            self._consumers = out
+        return out
+
+    def _kahn_order(self) -> List[int]:
+        order = self._order
+        if order is None:
+            consumers = self._consumer_lists()
+            indeg = [len(n.srcs) for n in self.nodes]
+            ready = [n.nid for n in self.nodes if indeg[n.nid] == 0]
+            order = []
+            while ready:
+                nid = ready.pop()
+                order.append(nid)
+                for c in consumers[nid]:
+                    indeg[c] -= 1
+                    if indeg[c] == 0:
+                        ready.append(c)
+            if len(order) != len(self.nodes):
+                raise DesignError(
+                    "graph contains a cycle; only non-recursive (FIR) "
+                    "datapaths are supported"
+                )
+            self._order = order
+        return order
+
     def consumers(self) -> List[List[int]]:
         """For each node id, the ids of nodes that read it."""
-        out: List[List[int]] = [[] for _ in self.nodes]
-        for n in self.nodes:
-            for s in n.srcs:
-                out[s].append(n.nid)
-        return out
+        self._refresh()
+        return [list(c) for c in self._consumer_lists()]
 
     def topological_order(self) -> List[int]:
         """Kahn topological order; raises on cycles.
@@ -116,32 +175,23 @@ class Graph:
         Nodes are appended in construction order by the builders, which is
         already topological, but validation must not rely on that.
         """
-        indeg = [len(n.srcs) for n in self.nodes]
-        consumers = self.consumers()
-        ready = [n.nid for n in self.nodes if indeg[n.nid] == 0]
-        order: List[int] = []
-        while ready:
-            nid = ready.pop()
-            order.append(nid)
-            for c in consumers[nid]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    ready.append(c)
-        if len(order) != len(self.nodes):
-            raise DesignError(
-                "graph contains a cycle; only non-recursive (FIR) datapaths "
-                "are supported"
-            )
-        return order
+        self._refresh()
+        return list(self._kahn_order())
 
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Check structural and format consistency; raises DesignError."""
+        """Check structural and format consistency; raises DesignError.
+
+        A pass is remembered until the graph changes.
+        """
+        self._refresh()
+        if self._valid:
+            return
         if self.input_id is None or self.output_id is None:
             raise DesignError("graph needs exactly one input and one output")
-        self.topological_order()
+        self._kahn_order()
         for n in self.nodes:
             if n.fmt is None:
                 raise DesignError(f"node {n} has no format assigned")
@@ -171,6 +221,14 @@ class Graph:
                 src = self.nodes[n.srcs[0]]
                 if src.fmt != n.fmt:
                     raise DesignError("output port must match source format")
+        self._valid = True
+
+    def schedule(self) -> Tuple[List[int], List[int]]:
+        """Validate, then return the topological order and each node's
+        fan-out (how many nodes read it): what an evaluator needs."""
+        self.validate()
+        return (list(self._kahn_order()),
+                [len(c) for c in self._consumer_lists()])
 
     # ------------------------------------------------------------------
     # Reporting

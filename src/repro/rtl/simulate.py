@@ -153,7 +153,7 @@ def simulate(
     fault:
         Optional single injected full-adder fault.
     """
-    graph.validate()
+    order, remaining = graph.schedule()
     input_node = graph.input_node
     raw = np.asarray(input_raw, dtype=np.int64)
     if raw.ndim != 1:
@@ -164,10 +164,6 @@ def simulate(
 
     keep = set(keep_nodes or ())
     keep.add(graph.output_id)
-    if graph.input_id in keep:
-        pass
-    remaining = [len(c) for c in graph.consumers()]
-    order = graph.topological_order()
     live: Dict[int, np.ndarray] = {}
     kept: Dict[int, np.ndarray] = {}
 

@@ -9,6 +9,8 @@ from repro.experiments import (
     ExperimentContext,
     ascii_table,
     figure1,
+    figure2,
+    figure3,
     figure4,
     figure5,
     figure8,
@@ -154,3 +156,37 @@ class TestFigures:
 
     def test_render_produces_text(self, ctx):
         assert "Figure 5" in figure5(ctx).render()
+
+
+class TestSeriousMissSearch:
+    def test_figures_2_and_3_share_one_search_per_context(self, ctx,
+                                                          monkeypatch):
+        """The Section 5 sine search runs once per context: Figure 3
+        reuses Figure 2's, and only a new context searches again."""
+        from repro.experiments import figures
+
+        calls = []
+        real = figures.fault_effect
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(figures, "fault_effect", counting)
+        n = ctx.config.table4_vectors
+        lfsr1 = ctx.standard_generators()["LFSR-1"]
+        session = ctx.coverage("LP", lfsr1, n)
+
+        def fresh_context():
+            fresh = ExperimentContext(config=ctx.config)
+            fresh.adopt_coverage("LP", lfsr1.name, n, session)
+            return fresh
+
+        one = fresh_context()
+        figure2(one)
+        per_search = len(calls)
+        assert per_search > 0
+        figure3(one)
+        assert len(calls) == per_search
+        figure3(fresh_context())
+        assert len(calls) == 2 * per_search

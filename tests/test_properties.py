@@ -47,7 +47,31 @@ class TestFeasibilityMonotonicity:
             assert mask == 0xFF
 
 
+def _modulo_wrap(raw, width):
+    """``wrap`` as the modulo it replaced, kept as the reference."""
+    half = 1 << (width - 1)
+    return (raw + half) % (1 << width) - half
+
+
 class TestWrapAlgebra:
+    @given(st.integers(-(1 << 62), 1 << 62), st.integers(1, 60))
+    def test_mask_wrap_equals_modulo_on_scalars(self, raw, width):
+        assert wrap(raw, width) == _modulo_wrap(raw, width)
+        assert wrap(np.int64(raw), width) == _modulo_wrap(np.int64(raw),
+                                                          width)
+
+    @given(st.lists(st.integers(-(1 << 63), (1 << 63) - 1), min_size=1,
+                    max_size=40),
+           st.integers(1, 60))
+    def test_mask_wrap_equals_modulo_on_int64_arrays(self, values, width):
+        """Bit-identical over the whole int64 range: sums that overflow
+        int64 wrap modulo 2**64, which ``2**width`` divides."""
+        arr = np.array(values, dtype=np.int64)
+        got = wrap(arr, width)
+        want = _modulo_wrap(arr, width)
+        assert got.dtype == want.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
     @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
            st.integers(2, 20))
     def test_wrap_is_a_ring_homomorphism(self, a, b, width):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import DesignError
 from repro.fixedpoint import Fixed
-from repro.rtl import Graph, OpKind
+from repro.rtl import Graph, OpKind, simulate
 
 
 def tiny_graph():
@@ -110,3 +110,48 @@ class TestValidation:
         g.add(OpKind.OUTPUT, (a.nid,), fmt=Fixed(1, 3))
         with pytest.raises(DesignError):
             g.validate()
+
+
+class TestRevalidation:
+    """A graph remembers a passed validation only until it changes."""
+
+    def test_add_after_simulate_is_revalidated(self):
+        g = tiny_graph()
+        simulate(g, [1, -2, 3])
+        g.add(OpKind.DELAY, (2,))  # no format assigned
+        with pytest.raises(DesignError, match="no format"):
+            simulate(g, [1, -2, 3])
+
+    def test_format_change_after_simulate_is_revalidated(self):
+        g = tiny_graph()
+        simulate(g, [1, -2, 3])
+        g.nodes[2].fmt = Fixed(5, 2)  # adder leaves its operands' point
+        with pytest.raises(DesignError, match="binary point"):
+            simulate(g, [1, -2, 3])
+
+    def test_restored_graph_validates_again(self):
+        g = tiny_graph()
+        g.validate()
+        good = g.nodes[2].fmt
+        g.nodes[2].fmt = Fixed(5, 2)
+        with pytest.raises(DesignError):
+            g.validate()
+        g.nodes[2].fmt = good
+        g.validate()
+
+    def test_rewired_sources_are_resorted(self):
+        g = tiny_graph()
+        g.validate()
+        g.nodes[1].srcs = (2,)  # shift now reads the adder it feeds
+        with pytest.raises(DesignError, match="cycle"):
+            g.topological_order()
+
+    def test_returned_lists_are_copies(self):
+        g = tiny_graph()
+        g.topological_order().reverse()
+        g.consumers()[0].clear()
+        assert g.consumers()[0] == [1, 2]
+        order, fanout = g.schedule()
+        order.clear()
+        fanout[0] = 0
+        assert g.schedule() == ([0, 1, 2, 3], [2, 1, 1, 0])
